@@ -15,7 +15,7 @@
 //! | `billing-pair` | `.begin_request(..)` calls balance `.finish_request(..)` calls within a function body |
 //! | `raw-channel-name` | queue/bucket/topic name literals (`fsd-f*`, `bucket-*`, `topic-*`) only appear inside `*_name` helper functions |
 //! | `teardown-pair` | every `pub fn create_*`/`provision_*` in `crates/core`/`crates/comm` has a `remove_*`/`delete_*`/`teardown_*`/`destroy_*` twin in the same module; every `pub fn insert_*` has an `evict_*` twin |
-//! | `no-unwrap` | no `.unwrap()`, bare/undocumented `.expect(..)`, `panic!`, `unreachable!`, `todo!`, `unimplemented!` in non-test library code |
+//! | `no-unwrap` | no `.unwrap()`, bare/undocumented `.expect(..)`, `panic!`, `unreachable!`, `todo!`, `unimplemented!` in non-test library code (binaries — `src/bin/*` and a package's `src/main.rs` — may fail fast) |
 //! | `lock-across-blocking` | a live `.lock()` guard must not be held across `.wait*(`/`.recv*(`/`sleep(` (condvar waits that consume the guard are recognized and allowed) |
 //! | `retry-idempotent` | a `RetryPolicy` `.run(..)` closure must not call non-idempotent channel ops (`receive_wait`, `take_visible`, `poll`, `poll_and_stash`, `settle_receives`, `delete_batch`, `enqueue`) — a retried attempt repeats its calls, so only idempotent ops may sit inside one |
 //!
@@ -102,8 +102,14 @@ impl LintConfig {
             || p.contains("/examples/")
     }
 
+    /// A binary target: anything under a package's `src/bin/`, or a
+    /// package's `src/main.rs` crate root.
     fn is_bin_path(&self) -> bool {
-        self.path.contains("/src/bin/")
+        let p = &self.path;
+        p.starts_with("src/bin/")
+            || p.contains("/src/bin/")
+            || p == "src/main.rs"
+            || p.ends_with("/src/main.rs")
     }
 
     fn is_core_or_comm(&self) -> bool {

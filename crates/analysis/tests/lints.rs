@@ -126,6 +126,22 @@ fn no_unwrap_exempts_tests_benches_and_bins() {
 }
 
 #[test]
+fn no_unwrap_treats_a_package_main_rs_as_a_bin() {
+    let src = include_str!("fixtures/bin_main_unreachable.rs");
+    for path in [
+        "perfbench/src/main.rs",
+        "crates/bench/src/main.rs",
+        "src/main.rs",
+    ] {
+        assert_eq!(findings(src, path), vec![], "{path} is a bin crate root");
+    }
+    // The same code in a library module is still flagged.
+    for path in ["perfbench/src/harness.rs", "crates/core/src/main_loop.rs"] {
+        assert_eq!(findings(src, path), vec![("no-unwrap", 6)], "{path}");
+    }
+}
+
+#[test]
 fn lock_across_blocking_flags_live_guards() {
     let bad = include_str!("fixtures/bad_lock_across_blocking.rs");
     assert_eq!(

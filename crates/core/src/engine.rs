@@ -189,7 +189,7 @@ pub struct BatchedRequest {
 }
 
 /// Per-worker runtime facts extracted from invocation reports.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkerReport {
     /// Worker rank within the tree (0 = root/coordinator).
     pub rank: u32,
@@ -235,9 +235,6 @@ pub struct InferenceReport {
     pub cost_actual: CostBreakdown,
     /// Cost from the application's own metrics (§VI-F validation).
     pub cost_predicted: CostBreakdown,
-    /// The inference result of the first batch.
-    #[deprecated(since = "0.2.0", note = "use first_output() or the outputs vec")]
-    pub output: SparseRows,
     /// Results of every batch, in order (never empty).
     pub outputs: Vec<SparseRows>,
     /// Total samples across batches.

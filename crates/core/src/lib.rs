@@ -15,11 +15,13 @@
 //!   in-queue pointer records (the paper's deployed mixed regime);
 //! * **[`DirectChannel`]** — FMI-style NAT-punched direct exchange, zero
 //!   per-message API cost after the pairwise handshake;
-//! * **hierarchical launch** — `worker_invoke_children` b-ary tree;
-//! * **multicast weight streaming** — [`EngineConfig::stream_weights`]:
-//!   λScale-style cold starts where rank 0 fetches each weight block once
-//!   and multicasts it down the launch-tree topology, with per-layer lazy
-//!   decode and a process-wide [`WeightCache`];
+//! * **one launcher, two strategies** — the paper's hierarchical
+//!   `worker_invoke_children` b-ary cascade, or (with
+//!   [`EngineConfig::stream_weights`]) λScale-style flat streamed cold
+//!   starts where the control plane invokes every rank and rank 0 fetches
+//!   each weight block once and multicasts it down the launch-tree
+//!   topology, with per-layer lazy decode and a process-wide
+//!   [`WeightCache`];
 //! * **collectives** — [`channel::barrier`] / [`channel::reduce`] built on
 //!   the same serverless primitives;
 //! * **cost model** (Section IV) — [`cost::CostModel`] with actual
@@ -34,8 +36,11 @@
 //! run. Channel backends plug in through [`ChannelProvider`] /
 //! [`ChannelRegistry`]. Errors are the structured [`FsdError`].
 //!
-//! With [`ServiceBuilder::warm_pool`], launched worker trees stay parked
-//! between requests of the same `(variant, P, memory)` shape and matching
+//! Every distributed request runs on a worker tree. Without a pool the
+//! tree is launched, runs the one request and shuts down — a warm tree
+//! with zero TTL. With [`ServiceBuilder::warm_pool`], launched trees stay
+//! parked between requests of the same `(variant, P, memory)` shape and
+//! matching
 //! requests are routed into them — skipping cold start, launch rounds and
 //! weight loads ([`LaunchPath::WarmHit`] in the report); see [`TreeKey`]
 //! and [`WarmPoolStats`].

@@ -14,7 +14,7 @@
 //!   concurrency);
 //! * channels are provisioned per request through the
 //!   [`ChannelRegistry`](crate::ChannelRegistry) and torn down when the
-//!   request's worker tree has been joined.
+//!   request's worker tree has run its item.
 
 use crate::artifacts::{stage_full_model, stage_inputs, stage_partitioned_model, ARTIFACT_BUCKET};
 use crate::channel::FsiChannel;
@@ -29,17 +29,17 @@ use crate::pool::{SystemClock, TreePool, WallClock, WarmPoolConfig, WarmPoolStat
 use crate::provider::ChannelRegistry;
 use crate::recommend::{self, Recommendation, WorkloadProfile};
 use crate::stats::ChannelStatsSnapshot;
-use crate::warm::{TreeKey, TreeParams, WorkItem, WorkerTree};
+use crate::warm::{TreeKey, TreeParams, TreeRunOutput, WorkItem, WorkerTree};
 use crate::weight_cache::WeightCache;
-use crate::worker::{run_serial, run_worker, WorkerOutput, WorkerParams};
-use fsd_comm::{ApiClass, CloudEnv, FaultKind, MeterSnapshot, TargetedFault, VClock, VirtualTime};
-use fsd_faas::{launch, FaasError, FaasPlatform, FunctionConfig, InvocationReport, LambdaSnapshot};
+use crate::worker::run_serial;
+use fsd_comm::{ApiClass, CloudEnv, FaultKind, MeterSnapshot, TargetedFault, VirtualTime};
+use fsd_faas::{FaasError, FaasPlatform, FunctionConfig, LambdaSnapshot};
 use fsd_model::SparseDnn;
 use fsd_partition::{partition_model, CommPlan, Partition};
 use fsd_sparse::codec;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Offline staging state shared by all requests (read-mostly).
@@ -97,9 +97,10 @@ pub struct FsdService {
     stage_lock: Mutex<()>,
     /// Request counter; its successor is the request's flow id.
     requests: AtomicU64,
-    /// The warm-tree pool (`ServiceBuilder::warm_pool`); `None` keeps the
-    /// original launch-per-request behavior. `Arc` so the background
-    /// reaper thread can hold the pool without borrowing the service.
+    /// The warm-tree pool (`ServiceBuilder::warm_pool`); `None` launches a
+    /// tree per request and shuts it down after its one run. `Arc` so the
+    /// background reaper thread can hold the pool without borrowing the
+    /// service.
     pool: Option<Arc<TreePool>>,
     /// Per-transport error-rate scoreboard + circuit breakers; drives
     /// graceful degradation of [`Variant::Auto`] routing.
@@ -455,7 +456,7 @@ impl FsdService {
         self.env.weight_net().close_flow(flow);
         let comm = self.env.release_flow(flow);
         let lambda: LambdaSnapshot = self.platform.lambda_meter().release_flow(flow);
-        let (root_out, reports, client, launch_path) = match launched {
+        let (out, client, launch_path) = match launched {
             Ok(run) => run,
             Err(e) => {
                 // The attempt failed but its calls were made and billed
@@ -470,7 +471,8 @@ impl FsdService {
                 return Err(e);
             }
         };
-        let per_worker: Vec<WorkerReport> = reports
+        let per_worker: Vec<WorkerReport> = out
+            .reports
             .iter()
             .map(|(rank, r)| WorkerReport {
                 rank: *rank,
@@ -488,15 +490,11 @@ impl FsdService {
             .ok_or(FsdError::NoWorkerReports)?;
         let latency =
             VirtualTime::from_micros(last_finish.as_micros().saturating_sub(arrival.as_micros()));
-        let outputs = root_out.final_batches.ok_or(FsdError::MissingOutput)?;
-        if outputs.is_empty() {
+        if out.final_batches.is_empty() {
             return Err(FsdError::MissingOutput);
         }
         let cost_actual = self.cost.actual(&lambda, &comm);
-        let cost_predicted = self
-            .cost
-            .predicted(&lambda, &client, root_out.artifact_gets, 0);
-        #[allow(deprecated)]
+        let cost_predicted = self.cost.predicted(&lambda, &client, out.artifact_gets, 0);
         Ok(InferenceReport {
             variant: resolved,
             workers: p,
@@ -509,10 +507,9 @@ impl FsdService {
             client,
             cost_actual,
             cost_predicted,
-            output: outputs[0].clone(),
-            outputs,
+            outputs: out.final_batches,
             samples,
-            work_done: root_out.work_done,
+            work_done: out.work_done,
         })
     }
 
@@ -588,7 +585,7 @@ impl FsdService {
             let samples: usize = req.batches.iter().map(|b| b.width()).sum();
             let widths: Vec<usize> = req.batches.iter().map(|b| b.width()).collect();
             if tree_slot.is_none() {
-                match self.acquire_coalition_tree(key, flow) {
+                match self.acquire_tree(key, flow) {
                     Ok(acquired) => tree_slot = Some(acquired),
                     Err(e) => {
                         // The launch failed before any member ran: this
@@ -614,87 +611,34 @@ impl FsdService {
             // hop, billed (begin_request) under its own flow.
             let warm = *from_warm_checkout || i > 0;
             let channel = provider.provision(&self.env, p, self.cfg.channel, flow);
-            let dispatch_at = VirtualTime::from_micros(
-                self.env.jitter().apply(self.env.latency().lambda_invoke_us),
-            );
-            let item = WorkItem {
-                warm,
-                flow,
-                input_key: input_key.clone(),
-                batch_widths: widths.clone(),
-                channel: channel.clone(),
-                dispatch_at,
-            };
-            let ran = tree.run(item);
-            // Harvest request-local stats, then release the member's
-            // queues/subscriptions/objects — error or not.
-            let client = channel.stats().snapshot();
-            channel.teardown();
-            match ran {
-                Ok(out) => {
-                    let root_out = WorkerOutput {
-                        rank: 0,
-                        final_batches: Some(out.final_batches),
-                        subtree_reports: Vec::new(),
-                        artifact_gets: out.artifact_gets,
-                        work_done: out.work_done,
-                    };
-                    let path = if warm {
-                        LaunchPath::WarmHit
-                    } else {
-                        LaunchPath::ColdStart
-                    };
-                    results.push(self.finalize_report(
-                        routed,
-                        p,
-                        samples,
-                        &input_key,
-                        flow,
-                        Ok((root_out, out.reports, client, path)),
-                    ));
-                }
-                Err(e) => {
-                    // A worker died mid-pass: the tree may be poisoned —
-                    // never reuse it. This member reports the error; the
-                    // remaining members run sequentially.
-                    let (dead, _) = tree_slot.take().expect("coalition tree held");
-                    match &self.pool {
-                        Some(pool) => pool.discard(dead),
-                        None => drop(dead), // Drop shuts the tree down.
-                    }
-                    results.push(self.finalize_report(
-                        routed,
-                        p,
-                        samples,
-                        &input_key,
-                        flow,
-                        Err(e.into()),
-                    ));
-                    results.extend(reqs[i + 1..].iter().map(|r| self.submit_batched(r)));
-                    return results;
-                }
+            let ran = self.run_item(tree, warm, flow, &input_key, &widths, channel);
+            let failed = ran.is_err();
+            if failed {
+                // A worker died mid-pass: the tree may be poisoned — never
+                // reuse it. This member reports the error; the remaining
+                // members run sequentially.
+                let (dead, _) = tree_slot.take().expect("coalition tree held");
+                self.release_tree(dead, false);
+            }
+            results.push(self.finalize_report(routed, p, samples, &input_key, flow, ran));
+            if failed {
+                results.extend(reqs[i + 1..].iter().map(|r| self.submit_batched(r)));
+                return results;
             }
         }
         if let Some((tree, _)) = tree_slot {
-            match &self.pool {
-                // Checkin at pass teardown: the tree parks for the next
-                // matching request (or coalition).
-                Some(pool) => pool.checkin(tree),
-                None => drop(tree),
-            }
+            // Pass teardown: the tree parks for the next matching request
+            // (or coalition), or shuts down without a pool.
+            self.release_tree(tree, true);
         }
         results
     }
 
-    /// Acquires the single tree a coalesced pass runs on: a warm-pool
-    /// checkout when a matching tree is parked, otherwise a cold launch of
-    /// a persistent tree billed to `flow` (the first member). Returns the
-    /// tree and whether it came from a warm checkout.
-    fn acquire_coalition_tree(
-        &self,
-        key: TreeKey,
-        flow: u64,
-    ) -> Result<(WorkerTree, bool), FsdError> {
+    /// Acquires the tree a request (or a coalesced pass) runs on: a
+    /// warm-pool checkout when a matching tree is parked, otherwise a cold
+    /// launch billed to `flow`. Returns the tree and whether it came from
+    /// a warm checkout.
+    fn acquire_tree(&self, key: TreeKey, flow: u64) -> Result<(WorkerTree, bool), FsdError> {
         if let Some(tree) = self.pool.as_ref().and_then(|pool| pool.checkout(key)) {
             return Ok((tree, true));
         }
@@ -706,6 +650,61 @@ impl FsdService {
             pool.note_in_use(key);
         }
         Ok((tree, false))
+    }
+
+    /// Routes one request into `tree` as a work item over its data
+    /// `channel`, then harvests the channel's request-local stats and
+    /// releases its queues/subscriptions/objects — error or not. `warm`
+    /// marks a request that did not launch the tree: it is dispatched one
+    /// control-plane hop after arrival instead of riding the launch
+    /// timeline.
+    fn run_item(
+        &self,
+        tree: &mut WorkerTree,
+        warm: bool,
+        flow: u64,
+        input_key: &str,
+        widths: &[usize],
+        channel: Arc<dyn FsiChannel>,
+    ) -> ExecuteResult {
+        let dispatch_at =
+            VirtualTime::from_micros(self.env.jitter().apply(self.env.latency().lambda_invoke_us));
+        let ran = tree.run(WorkItem {
+            warm,
+            flow,
+            input_key: input_key.to_string(),
+            batch_widths: widths.to_vec(),
+            channel: channel.clone(),
+            dispatch_at,
+        });
+        let client = channel.stats().snapshot();
+        channel.teardown();
+        let path = if warm {
+            LaunchPath::WarmHit
+        } else {
+            LaunchPath::ColdStart
+        };
+        Ok((ran?, client, path))
+    }
+
+    /// Hands a tree back after its pass. Without a pool the tree is
+    /// dropped, which shuts it down: a pool-less request is a tree
+    /// launched, run once and shut down. With one, a healthy tree is
+    /// checked in for the next matching request; a failed one is
+    /// discarded (and, under `ServiceBuilder::regenerate_poisoned`,
+    /// replaced).
+    fn release_tree(&self, tree: WorkerTree, healthy: bool) {
+        match &self.pool {
+            None => drop(tree),
+            Some(pool) if healthy => pool.checkin(tree),
+            Some(pool) => {
+                let key = tree.key();
+                pool.discard(tree);
+                if self.regenerate_poisoned {
+                    self.regenerate_tree(pool, key);
+                }
+            }
+        }
     }
 
     /// Launches a warm tree for `(variant, workers, memory_mb)` ahead of
@@ -883,24 +882,6 @@ impl FsdService {
         true
     }
 
-    /// Failure injection (tests/chaos): arms a kill switch on worker
-    /// `rank` of one *parked* tree matching the shape, so the next request
-    /// routed into it loses that instance mid-request. Returns whether a
-    /// parked tree matched.
-    #[deprecated(
-        note = "use FsdService::inject_fault(FsdService::warm_worker_fault(..)) — the \
-                unified fault-plane surface"
-    )]
-    pub fn inject_warm_failure(
-        &self,
-        variant: Variant,
-        workers: u32,
-        memory_mb: u32,
-        rank: u32,
-    ) -> bool {
-        self.inject_fault(Self::warm_worker_fault(variant, workers, memory_mb, rank))
-    }
-
     /// The single §IV-C resolution point: resolves a (possibly
     /// [`Variant::Auto`]) variant for `workers` ranks and an estimated
     /// wire-bytes-per-row. Explicit variants pass through unchanged. The
@@ -955,7 +936,10 @@ impl FsdService {
         }
     }
 
-    /// Dispatches a resolved request to its execution path.
+    /// Dispatches a resolved request to its execution path. Serial runs on
+    /// one instance; every routed variant provisions its data channel,
+    /// acquires a tree, runs the request on it as one work item and
+    /// releases the tree.
     fn execute(
         &self,
         variant: Variant,
@@ -967,13 +951,8 @@ impl FsdService {
     ) -> ExecuteResult {
         match variant {
             Variant::Serial => {
-                let (out, report) = self.launch_serial(input_key, widths.len(), flow)?;
-                Ok((
-                    out,
-                    vec![(0u32, report)],
-                    ChannelStatsSnapshot::default(),
-                    LaunchPath::ColdStart,
-                ))
+                let out = self.launch_serial(input_key, widths.len(), flow)?;
+                Ok((out, ChannelStatsSnapshot::default(), LaunchPath::ColdStart))
             }
             // fsd_lint::allow(no-unwrap): submit_batched resolves Auto via
             // resolve_variant before calling execute; reaching here is a bug.
@@ -989,111 +968,21 @@ impl FsdService {
                         name: name.to_string(),
                     })?;
                 let channel = provider.provision(&self.env, p, self.cfg.channel, flow);
-                if let Some(pool) = &self.pool {
-                    return self.execute_pooled(
-                        pool, routed, channel, p, memory_mb, input_key, widths, flow,
-                    );
-                }
-                let launched =
-                    self.launch_tree(channel.clone(), p, memory_mb, input_key, widths, flow);
-                // Harvest request-local stats, then release the request's
-                // queues/subscriptions/objects — error or not.
-                let client = channel.stats().snapshot();
-                channel.teardown();
-                let (out, reports) = launched?;
-                Ok((out, reports, client, LaunchPath::ColdStart))
-            }
-        }
-    }
-
-    /// Runs a routed request through the warm-tree pool: a matching parked
-    /// tree is checked out (warm hit — no invocations, no cold starts, no
-    /// launch rounds, no weight loads); a miss falls back to a cold launch
-    /// of a *persistent* tree that the teardown then checks in. Either way
-    /// the data channel is provisioned and torn down per request, so flow
-    /// namespacing and billing disjointness are identical to the one-shot
-    /// path.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_pooled(
-        &self,
-        pool: &TreePool,
-        routed: Variant,
-        channel: Arc<dyn FsiChannel>,
-        p: u32,
-        memory_mb: u32,
-        input_key: &str,
-        widths: &[usize],
-        flow: u64,
-    ) -> ExecuteResult {
-        let key = TreeKey {
-            variant: routed,
-            workers: p,
-            memory_mb,
-        };
-        let (mut tree, warm) = match pool.checkout(key) {
-            Some(tree) => (tree, true),
-            None => {
-                // Cold fallback. With branching = 1 the "tree" launch
-                // degrades to a serial invocation chain of P rounds
-                // (documented in `fsd_faas::launch`); assert the documented
-                // equivalence so the fallback never silently pays a
-                // different launch bill than the model predicts.
-                debug_assert!(
-                    self.cfg.branching > 1 || launch::launch_rounds(p as usize, 1) == p as usize,
-                    "branching=1 launch must degrade to a P-round serial loop"
-                );
-                let params = self.tree_params(p, memory_mb);
-                let tree =
-                    WorkerTree::launch(&self.platform, key, pool.generation(), params, flow)?;
-                pool.record_created();
-                pool.note_in_use(key);
-                (tree, false)
-            }
-        };
-        // One control-plane hop routes a request into a live tree.
-        let dispatch_at =
-            VirtualTime::from_micros(self.env.jitter().apply(self.env.latency().lambda_invoke_us));
-        let item = WorkItem {
-            warm,
-            flow,
-            input_key: input_key.to_string(),
-            batch_widths: widths.to_vec(),
-            channel: channel.clone(),
-            dispatch_at,
-        };
-        let ran = tree.run(item);
-        // Harvest request-local stats, then release the request's
-        // queues/subscriptions/objects — error or not.
-        let client = channel.stats().snapshot();
-        channel.teardown();
-        match ran {
-            Ok(out) => {
-                // Checkin at request teardown: the tree parks for the next
-                // matching request (or is discarded if the shelf is full).
-                pool.checkin(tree);
-                let root_out = WorkerOutput {
-                    rank: 0,
-                    final_batches: Some(out.final_batches),
-                    subtree_reports: Vec::new(),
-                    artifact_gets: out.artifact_gets,
-                    work_done: out.work_done,
+                let key = TreeKey {
+                    variant: routed,
+                    workers: p,
+                    memory_mb,
                 };
-                let path = if warm {
-                    LaunchPath::WarmHit
-                } else {
-                    LaunchPath::ColdStart
+                let (mut tree, warm) = match self.acquire_tree(key, flow) {
+                    Ok(acquired) => acquired,
+                    Err(e) => {
+                        channel.teardown();
+                        return Err(e);
+                    }
                 };
-                Ok((root_out, out.reports, client, path))
-            }
-            Err(e) => {
-                // A worker died mid-request: the tree is evicted, never
-                // checked back in, and the error surfaces to the caller
-                // (the scheduler releases the slot as for any failure).
-                pool.discard(tree);
-                if self.regenerate_poisoned {
-                    self.regenerate_tree(pool, key);
-                }
-                Err(e.into())
+                let ran = self.run_item(&mut tree, warm, flow, input_key, widths, channel);
+                self.release_tree(tree, ran.is_ok());
+                ran
             }
         }
     }
@@ -1120,7 +1009,7 @@ impl FsdService {
         input_key: &str,
         n_batches: usize,
         flow: u64,
-    ) -> Result<(WorkerOutput, InvocationReport), FaasError> {
+    ) -> Result<TreeRunOutput, FaasError> {
         let spec = *self.dnn.spec();
         let model_key = self.model_key.clone();
         let input_key = input_key.to_string();
@@ -1143,159 +1032,18 @@ impl FsdService {
             },
         );
         let ((out, report), _coord_report) = coordinator.join()?;
-        Ok((out, report))
-    }
-
-    /// Coordinator + hierarchical worker tree over a channel.
-    fn launch_tree(
-        &self,
-        channel: Arc<dyn FsiChannel>,
-        p: u32,
-        memory_mb: u32,
-        input_key: &str,
-        widths: &[usize],
-        flow: u64,
-    ) -> Result<(WorkerOutput, Vec<(u32, InvocationReport)>), FaasError> {
-        if self.cfg.stream_weights {
-            return self.launch_tree_flat(channel, p, memory_mb, input_key, widths, flow);
-        }
-        let params = WorkerParams {
-            n_workers: p,
-            branching: self.cfg.branching,
-            memory_mb,
-            model_key: self.model_key.clone(),
-            input_key: input_key.to_string(),
-            spec: *self.dnn.spec(),
-            batch_widths: widths.to_vec(),
-            stream: false,
-            cache: self.weight_cache.clone(),
-            abort: Arc::new(AtomicBool::new(false)),
-        };
-        let platform = self.platform.clone();
-        let coordinator = self.platform.invoke(
-            FunctionConfig::coordinator().for_flow(flow),
-            VirtualTime::ZERO,
-            move |ctx| {
-                ctx.charge_work(10_000); // request parsing
-                let at = ctx.now();
-                let inv = platform.invoke(
-                    FunctionConfig::worker("fsd-worker-0", params.memory_mb).for_flow(flow),
-                    at,
-                    move |worker_ctx| run_worker(worker_ctx, channel, 0, params),
-                );
-                inv.join()
-            },
-        );
-        let ((root_out, root_report), _coord) = coordinator.join()?;
-        let mut reports = vec![(0u32, root_report)];
-        reports.extend(root_out.subtree_reports.iter().copied());
-        Ok((root_out, reports))
-    }
-
-    /// Streamed cold start: FaaSNet-style flat, controller-driven
-    /// provisioning. The always-on control plane (this service — FaaSNet's
-    /// "function manager") invokes every rank directly instead of routing
-    /// the launch through a coordinator function that must itself cold
-    /// start first. Total invocations are `P` (the hierarchical launch
-    /// pays `1 + P`), each dispatch costs the controller one sequential
-    /// API round trip, and the launch-tree topology is used to multicast
-    /// weight blocks instead of invocations.
-    fn launch_tree_flat(
-        &self,
-        channel: Arc<dyn FsiChannel>,
-        p: u32,
-        memory_mb: u32,
-        input_key: &str,
-        widths: &[usize],
-        flow: u64,
-    ) -> Result<(WorkerOutput, Vec<(u32, InvocationReport)>), FaasError> {
-        let params = WorkerParams {
-            n_workers: p,
-            branching: self.cfg.branching,
-            memory_mb,
-            model_key: self.model_key.clone(),
-            input_key: input_key.to_string(),
-            spec: *self.dnn.spec(),
-            batch_widths: widths.to_vec(),
-            stream: true,
-            cache: self.weight_cache.clone(),
-            abort: Arc::new(AtomicBool::new(false)),
-        };
-        // The controller's dispatch clock: invokes are issued one API
-        // round trip apart (the instance-side invoke latency itself is
-        // charged inside `FaasPlatform::invoke`, exactly as on every
-        // other path).
-        let mut dispatch = VClock::default();
-        dispatch.set_flow(flow);
-        let mut invocations = Vec::with_capacity(p as usize);
-        for rank in 0..p {
-            if rank > 0 {
-                let lat = self.env.latency().lambda_invoke_us;
-                let jittered = self.env.jitter().apply(lat);
-                dispatch.advance_micros(jittered);
-            }
-            let at = dispatch.now();
-            let channel_r = channel.clone();
-            let params_r = params.clone();
-            let inv = self.platform.invoke(
-                FunctionConfig::worker(format!("fsd-worker-{rank}"), memory_mb).for_flow(flow),
-                at,
-                move |worker_ctx| run_worker(worker_ctx, channel_r, rank, params_r),
-            );
-            if inv.launch_error().is_some() {
-                // A refused rank tears the whole request; raise the
-                // abort flag so already-running peers unwedge from
-                // their stream-drain loops instead of waiting for
-                // frames that will never arrive.
-                params.abort.store(true, Ordering::Relaxed);
-            }
-            invocations.push((rank, inv));
-        }
-        let mut reports = Vec::with_capacity(p as usize);
-        let mut root_out = None;
-        let mut peer_gets = 0u64;
-        let mut peer_work = 0u64;
-        let mut first_err = None;
-        for (rank, inv) in invocations {
-            match inv.join() {
-                Ok((out, report)) => {
-                    debug_assert_eq!(out.rank, rank);
-                    reports.push((rank, report));
-                    if rank == 0 {
-                        root_out = Some(out);
-                    } else {
-                        peer_gets += out.artifact_gets;
-                        peer_work += out.work_done;
-                    }
-                }
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        // Every rank is joined: any weight frames still parked in this
-        // flow's mailboxes belong to torn streams, not to a live reader.
-        // Drop them so the residue audit stays clean.
-        self.env.weight_net().close_flow(flow);
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        let mut root = root_out.expect("rank 0 joined without error");
-        root.artifact_gets += peer_gets;
-        root.work_done += peer_work;
-        Ok((root, reports))
+        Ok(TreeRunOutput {
+            final_batches: out.final_batches.unwrap_or_default(),
+            reports: vec![(0, report)],
+            artifact_gets: out.artifact_gets,
+            work_done: out.work_done,
+        })
     }
 }
 
-type ExecuteResult = Result<
-    (
-        WorkerOutput,
-        Vec<(u32, InvocationReport)>,
-        ChannelStatsSnapshot,
-        LaunchPath,
-    ),
-    FsdError,
->;
+/// A successful execution: the run's output, the request-local client
+/// channel stats and the launch path it took.
+type ExecuteResult = Result<(TreeRunOutput, ChannelStatsSnapshot, LaunchPath), FsdError>;
 
 #[cfg(test)]
 mod tests {

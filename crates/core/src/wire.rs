@@ -5,6 +5,7 @@
 //! the activation codec (`fsd_sparse::codec`): LEB128 varints for structure,
 //! raw little-endian `f32` for values.
 
+use fsd_sparse::varint::{self, put as put_varint, VarintError};
 use fsd_sparse::CsrMatrix;
 
 /// Decoding errors for staged artifacts.
@@ -27,33 +28,11 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
 fn get_varint(buf: &[u8], pos: &mut usize) -> Result<u64, WireError> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        let &byte = buf.get(*pos).ok_or(WireError::Truncated)?;
-        *pos += 1;
-        v |= ((byte & 0x7f) as u64) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-        if shift > 63 {
-            return Err(WireError::Corrupt("varint overflow"));
-        }
-    }
+    varint::get_u64(buf, pos).map_err(|e| match e {
+        VarintError::Truncated => WireError::Truncated,
+        VarintError::Overflow => WireError::Corrupt("varint overflow"),
+    })
 }
 
 /// Serializes a CSR matrix (weight block: local rows, global columns).

@@ -1,64 +1,30 @@
 //! The FSI worker routine (Algorithms 1 & 2, channel-generic).
 //!
-//! Each worker: launches its subtree of children (hierarchical launch),
-//! loads its weight/map artifacts once, then — per inference batch (paper
-//! Fig. 1: "Batch 1 … Batch n, SYNC") — per layer: sends its owed rows,
-//! computes the local product to overlap communication with computation,
-//! receives and accumulates inbound rows until its receive map is
-//! satisfied, and applies the activation. A barrier + reduce per batch
+//! A worker is one rank of a worker tree, brought up by the launcher
+//! (the cascade or the flat streamed launch) with its weight/map
+//! artifacts loaded. Per request it runs `run_batches`: per inference
+//! batch (paper Fig. 1: "Batch 1 … Batch n, SYNC") and per layer it sends
+//! its owed rows, computes the local product to overlap communication with
+//! computation, receives and accumulates inbound rows until its receive map
+//! is satisfied, and applies the activation. A barrier + reduce per batch
 //! delivers that batch's result to rank 0. Launch and weight-load costs
 //! amortize across batches — the data-parallel batch processing the paper
-//! builds in.
+//! builds in — and, on a warm tree, across requests.
 
-use crate::artifacts::{load_full_model, load_input_share, load_worker_artifacts};
+use crate::artifacts::{load_full_model, load_input_share};
 use crate::channel::{barrier, reduce, FsiChannel, RecvTracker, Tag};
-use crate::weight_cache::WeightCache;
-use fsd_faas::{launch, FaasError, FunctionConfig, InvocationReport, WorkerCtx};
+use fsd_faas::{FaasError, WorkerCtx};
 use fsd_model::DnnSpec;
 use fsd_sparse::{codec, layer_forward_reference, LayerAccumulator, SparseRows};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// Parameters shared by every worker of a run.
-#[derive(Clone)]
-pub struct WorkerParams {
-    /// Total workers `P`.
-    pub n_workers: u32,
-    /// Launch-tree branching factor.
-    pub branching: usize,
-    /// Worker memory (MB).
-    pub memory_mb: u32,
-    /// Staged model prefix.
-    pub model_key: String,
-    /// Staged input prefix (batch `b` lives under `{input_key}/b{b}`).
-    pub input_key: String,
-    /// Model shape/activation parameters.
-    pub spec: DnnSpec,
-    /// Width (samples) of each successive batch.
-    pub batch_widths: Vec<usize>,
-    /// λScale-style streamed cold start: workers are provisioned flat (no
-    /// child launches) and weights arrive multicast from rank 0 instead
-    /// of independent per-worker loads.
-    pub stream: bool,
-    /// The service-wide weight-block cache streamed loads read through.
-    pub cache: Arc<WeightCache>,
-    /// Run-wide abort flag: raised by the first failing worker (including
-    /// a child whose *launch* was refused), observed by every peer's
-    /// [`WorkerCtx::check_limits`] mid-collective — a dead instance must
-    /// fail its tree fast, not leave peers polling until their timeout.
-    pub abort: Arc<AtomicBool>,
-}
-
-/// What bubbles up from a worker: its own measurements plus everything from
-/// its subtree, and (rank 0 only) the final inference outputs per batch.
+/// What one worker produced for one request's batches.
 pub struct WorkerOutput {
     /// Rank that produced this output.
     pub rank: u32,
     /// Final activations per batch (root only, after each reduce).
     pub final_batches: Option<Vec<SparseRows>>,
-    /// `(rank, report)` for every descendant that has completed.
-    pub subtree_reports: Vec<(u32, InvocationReport)>,
-    /// Artifact GETs issued by this worker alone.
+    /// Artifact GETs issued by this worker for the request.
     pub artifact_gets: u64,
     /// Kernel work units this worker charged.
     pub work_done: u64,
@@ -71,24 +37,11 @@ fn layer_tag(spec: &DnnSpec, batch: usize, k: usize) -> Tag {
     Tag::Layer((batch * spec.layers + k) as u32)
 }
 
-/// What one worker produced for one request's batches (the per-request
-/// slice of [`WorkerOutput`], shared by the one-shot path and the warm
-/// serve loop).
-pub(crate) struct BatchRunOutput {
-    /// Final activations per batch (root only).
-    pub final_batches: Option<Vec<SparseRows>>,
-    /// Input-share GETs issued while running the batches.
-    pub artifact_gets: u64,
-    /// Kernel work units charged.
-    pub work_done: u64,
-}
-
 /// Runs every batch of one request through an already-loaded worker: per
 /// batch, the layer loop of Algorithms 1 & 2 followed by a barrier + reduce
-/// to rank 0. This is the request-scoped core of [`run_worker`], factored
-/// out so a warm (kept-alive) worker re-runs *exactly* the same code per
-/// work item — outputs are bit-identical between cold and warm paths by
-/// construction.
+/// to rank 0. A tree's serve loop calls this once per work item, so the
+/// request that launched the tree and every warm hit after it run exactly
+/// the same code — outputs are bit-identical between them by construction.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_batches(
     ctx: &mut WorkerCtx,
@@ -99,7 +52,7 @@ pub(crate) fn run_batches(
     art: &mut crate::artifacts::WorkerArtifacts,
     input_key: &str,
     batch_widths: &[usize],
-) -> Result<BatchRunOutput, FaasError> {
+) -> Result<WorkerOutput, FaasError> {
     let mut artifact_gets = 0u64;
     let mut work_done = 0u64;
     let mut final_batches: Vec<SparseRows> = Vec::new();
@@ -170,152 +123,11 @@ pub(crate) fn run_batches(
         }
         ctx.track_free(batch_mem + art.owned.len() * width * 4);
     }
-    Ok(BatchRunOutput {
+    Ok(WorkerOutput {
+        rank,
         final_batches: if rank == 0 { Some(final_batches) } else { None },
         artifact_gets,
         work_done,
-    })
-}
-
-/// Runs worker `rank` of a distributed FSI inference. Any failure raises
-/// the run-wide abort flag on the way out, so peers blocked in collectives
-/// unwedge at their next limit check instead of draining their timeout.
-pub fn run_worker(
-    ctx: &mut WorkerCtx,
-    channel: Arc<dyn FsiChannel>,
-    rank: u32,
-    params: WorkerParams,
-) -> Result<WorkerOutput, FaasError> {
-    let abort = params.abort.clone();
-    ctx.set_abort(abort.clone());
-    let out = run_worker_inner(ctx, channel, rank, params);
-    if out.is_err() {
-        abort.store(true, Ordering::Relaxed);
-    }
-    out
-}
-
-fn run_worker_inner(
-    ctx: &mut WorkerCtx,
-    channel: Arc<dyn FsiChannel>,
-    rank: u32,
-    params: WorkerParams,
-) -> Result<WorkerOutput, FaasError> {
-    // --- 1. worker_invoke_children(): launch the subtree ---------------
-    // Streamed launches are provisioned flat (FaaSNet-style): the
-    // coordinator invokes every rank directly and the launch tree carries
-    // *weight state* instead of invocations, so no worker launches
-    // children here.
-    let children = if params.stream {
-        Vec::new()
-    } else {
-        launch::children_of(rank as usize, params.branching, params.n_workers as usize)
-    };
-    let mut child_invocations = Vec::with_capacity(children.len());
-    let mut launch_refused = None;
-    for &child in &children {
-        // The (async) Invoke API call costs the parent one round trip.
-        let lat = ctx.env().latency().lambda_invoke_us;
-        let jittered = ctx.env().jitter().apply(lat);
-        ctx.clock_mut().advance_micros(jittered);
-        // Children inherit the parent's flow: the whole tree bills to the
-        // request that launched it.
-        let cfg = FunctionConfig::worker(format!("fsd-worker-{child}"), params.memory_mb)
-            .for_flow(ctx.config().flow);
-        let channel = channel.clone();
-        let params_c = params.clone();
-        let at = ctx.now();
-        let inv = ctx.platform().clone().invoke(cfg, at, move |child_ctx| {
-            run_worker(child_ctx, channel, child as u32, params_c)
-        });
-        // An injected launch fault is known synchronously (a real Invoke
-        // API error): the subtree below that child will never exist, so
-        // fail the whole tree now rather than wedging its collectives.
-        if let Some(e) = inv.launch_error() {
-            launch_refused.get_or_insert(e);
-        }
-        child_invocations.push((child as u32, inv));
-    }
-    // --- 2+3. load weights, run the batches (skipped when a child launch
-    // was refused: that subtree will never exist, so the collectives can
-    // only wedge) ---------------------------------------------------------
-    let body = match launch_refused {
-        Some(e) => Err(e),
-        None => (|| {
-            let mut art = if params.stream {
-                crate::weight_stream::stream_load(
-                    ctx,
-                    &params.cache,
-                    &params.model_key,
-                    rank,
-                    params.n_workers,
-                    params.spec.layers,
-                    params.branching,
-                )?
-            } else {
-                load_worker_artifacts(
-                    ctx,
-                    &params.model_key,
-                    params.n_workers,
-                    rank,
-                    params.spec.layers,
-                )?
-            };
-            let gets = art.n_gets;
-            let run = run_batches(
-                ctx,
-                &channel,
-                rank,
-                params.n_workers,
-                &params.spec,
-                &mut art,
-                &params.input_key,
-                &params.batch_widths,
-            )?;
-            Ok((gets, run))
-        })(),
-    };
-    if body.is_err() {
-        // Raise the run-wide abort *before* joining so the subtree's
-        // collectives unwedge and every descendant exits promptly.
-        params.abort.store(true, Ordering::Relaxed);
-    }
-
-    // --- 4. join the subtree and aggregate reports ----------------------
-    // Unconditional, error or not: a child that outlived its parent's
-    // return would keep billing the flow after the service released the
-    // request's window (a tracked-flow leak, and a torn billing report).
-    let mut subtree_reports = Vec::new();
-    let mut child_gets = 0u64;
-    let mut child_work = 0u64;
-    let mut child_error = None;
-    for (child_rank, inv) in child_invocations {
-        match inv.join() {
-            Ok((child_out, child_report)) => {
-                debug_assert_eq!(child_out.rank, child_rank);
-                subtree_reports.push((child_rank, child_report));
-                subtree_reports.extend(child_out.subtree_reports);
-                child_gets += child_out.artifact_gets;
-                child_work += child_out.work_done;
-            }
-            Err(e) => {
-                child_error.get_or_insert(e);
-            }
-        }
-    }
-    // This worker's own failure wins over a descendant's (it is the
-    // proximate cause the service reports); either fails the tree.
-    let (mut artifact_gets, run) = body?;
-    if let Some(e) = child_error {
-        return Err(e);
-    }
-    artifact_gets += child_gets;
-    Ok(WorkerOutput {
-        rank,
-        final_batches: run.final_batches,
-        subtree_reports,
-        artifact_gets,
-        work_done: run.work_done + child_work,
     })
 }
 
@@ -349,7 +161,6 @@ pub fn run_serial(
     Ok(WorkerOutput {
         rank: 0,
         final_batches: Some(final_batches),
-        subtree_reports: Vec::new(),
         artifact_gets,
         work_done,
     })

@@ -34,38 +34,19 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
+use crate::varint::{self, VarintError};
+
 #[inline]
-fn put_varint(out: &mut Vec<u8>, mut v: u32) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
+fn put_varint(out: &mut Vec<u8>, v: u32) {
+    varint::put(out, v.into());
 }
 
 #[inline]
 fn get_varint(buf: &[u8], pos: &mut usize) -> Result<u32, CodecError> {
-    let mut v: u32 = 0;
-    let mut shift = 0u32;
-    loop {
-        let &byte = buf.get(*pos).ok_or(CodecError::Truncated)?;
-        *pos += 1;
-        if shift == 28 && (byte & 0xf0) != 0 {
-            return Err(CodecError::VarintOverflow);
-        }
-        v |= ((byte & 0x7f) as u32) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-        if shift > 28 {
-            return Err(CodecError::VarintOverflow);
-        }
-    }
+    varint::get_u32(buf, pos).map_err(|e| match e {
+        VarintError::Truncated => CodecError::Truncated,
+        VarintError::Overflow => CodecError::VarintOverflow,
+    })
 }
 
 /// Serializes a block. Layout:
@@ -154,9 +135,7 @@ pub fn decode(buf: &[u8]) -> Result<SparseRows, CodecError> {
 /// Exact encoded size without materializing the buffer; used to pack
 /// payloads against channel quotas.
 pub fn encoded_size(block: &SparseRows) -> usize {
-    fn varint_len(v: u32) -> usize {
-        (1 + (31u32.saturating_sub(v.leading_zeros())) / 7) as usize
-    }
+    let varint_len = |v: u32| varint::len(v.into());
     let mut n = varint_len(block.width() as u32) + varint_len(block.n_rows() as u32);
     let mut prev_id = 0u32;
     for (i, (id, cols, _)) in block.iter().enumerate() {

@@ -47,35 +47,12 @@ impl std::fmt::Display for CompressError {
 
 impl std::error::Error for CompressError {}
 
-#[inline]
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
+use crate::varint::{self, put as put_varint};
 
 #[inline]
 fn get_varint(buf: &[u8], pos: &mut usize) -> Result<u64, CompressError> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        let &byte = buf.get(*pos).ok_or(CompressError::Truncated)?;
-        *pos += 1;
-        v |= ((byte & 0x7f) as u64) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-        if shift > 63 {
-            return Err(CompressError::Truncated);
-        }
-    }
+    // An overlong varint can only come from a cut or garbled stream.
+    varint::get_u64(buf, pos).map_err(|_| CompressError::Truncated)
 }
 
 #[inline]

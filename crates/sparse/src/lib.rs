@@ -11,7 +11,8 @@
 //!   overlapped with communication;
 //! * [`codec`] — delta-varint wire format for row blocks;
 //! * [`compress`] — LZ77-style lossless byte compressor (the paper's ZLIB
-//!   role).
+//!   role);
+//! * [`varint`] — the LEB128 varint every wire format shares.
 //!
 //! ```
 //! use fsd_sparse::{CsrMatrix, SparseRows, layer_forward_reference};
@@ -28,6 +29,7 @@ pub mod compress;
 mod csr;
 mod ops;
 mod rows;
+pub mod varint;
 
 pub use csr::{CsrError, CsrMatrix};
 pub use ops::{layer_forward_reference, ColMajorBlock, LayerAccumulator};

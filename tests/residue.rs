@@ -10,6 +10,7 @@
 //! The audit requires quiescence, so every test drains its service before
 //! auditing.
 
+use fsd_inference::comm::{ApiClass, TargetedFault};
 use fsd_inference::core::{FsdService, InferenceRequest, ServiceBuilder, Variant};
 use fsd_inference::model::{generate_dnn, generate_inputs, DnnSpec, InputSpec};
 use fsd_sparse::SparseRows;
@@ -127,6 +128,32 @@ fn warm_pool_release_leaves_zero_residue() {
     let stats = service.warm_pool_stats().expect("pool enabled");
     assert_eq!(stats.idle, 0, "parked trees survived invalidation");
     audit(&service, "warm pool after invalidate");
+}
+
+#[test]
+fn failed_pooled_cold_launch_releases_the_request_channel() {
+    let _guard = engine_guard();
+    let s = spec(8);
+    let dnn = Arc::new(generate_dnn(&s));
+    let inputs = generate_inputs(s.neurons, &InputSpec::scaled(10, 8));
+    let service = ServiceBuilder::new(dnn)
+        .deterministic(8)
+        .warm_pool(2, u64::MAX)
+        .build();
+    // The coordinator's launch is refused, so the pool's cold path fails
+    // after the request's queues and subscriptions were provisioned.
+    assert!(service
+        .inject_fault(TargetedFault::first(ApiClass::InstanceLaunch, "coordinator").permanent()));
+    service
+        .submit(&InferenceRequest {
+            variant: Variant::Queue,
+            workers: 3,
+            memory_mb: 1769,
+            inputs,
+        })
+        .expect_err("a refused coordinator launch fails the request");
+    audit(&service, "failed pooled cold launch");
+    service.env().assert_no_residue();
 }
 
 #[test]

@@ -62,13 +62,13 @@ fn warm_hits_skip_launch_and_match_cold_outputs_on_both_channels() {
     for (variant, seed) in [(Variant::Queue, 41), (Variant::Object, 42)] {
         let (service, inputs, expected) = pooled_service(seed, 4, u64::MAX);
         // Reference: the same request on an identically seeded pool-less
-        // service (the original one-shot launch path).
-        let oneshot = {
+        // service, which launches a tree, runs it once and shuts it down.
+        let poolless = {
             let dnn = Arc::new(generate_dnn(&spec(seed)));
             let service = ServiceBuilder::new(dnn).deterministic(seed).build();
             service
                 .submit(&request(&inputs, variant, 3))
-                .expect("one-shot runs")
+                .expect("pool-less run")
         };
         let cold = service
             .submit(&request(&inputs, variant, 3))
@@ -82,11 +82,21 @@ fn warm_hits_skip_launch_and_match_cold_outputs_on_both_channels() {
         // Identical outputs across all three paths, equal to ground truth.
         assert_eq!(cold.first_output(), &expected, "{variant}");
         assert_eq!(warm.outputs, cold.outputs, "{variant}");
-        assert_eq!(oneshot.outputs, cold.outputs, "{variant}");
-        // The cold path pays the launch bill (coordinator + P workers,
-        // exactly like the one-shot path); the warm path invokes nothing.
+        // A pool-less request is a pooled cold start that is shut down
+        // instead of parked: its report is the cold report, field by field.
+        assert_eq!(poolless.launch, LaunchPath::ColdStart, "{variant}");
+        assert_eq!(poolless.latency, cold.latency, "{variant}");
+        assert_eq!(poolless.per_worker, cold.per_worker, "{variant}");
+        assert_eq!(poolless.comm, cold.comm, "{variant}");
+        assert_eq!(poolless.lambda, cold.lambda, "{variant}");
+        assert_eq!(poolless.client, cold.client, "{variant}");
+        assert_eq!(poolless.cost_actual, cold.cost_actual, "{variant}");
+        assert_eq!(poolless.cost_predicted, cold.cost_predicted, "{variant}");
+        assert_eq!(poolless.work_done, cold.work_done, "{variant}");
+        assert_eq!(poolless.outputs, cold.outputs, "{variant}");
+        // The cold path pays the launch bill (coordinator + P workers); the
+        // warm path invokes nothing.
         assert_eq!(cold.lambda.invocations, 4, "{variant}");
-        assert_eq!(oneshot.lambda.invocations, 4, "{variant}");
         assert_eq!(warm.lambda.invocations, 0, "{variant}");
         assert!(warm.lambda.mb_ms > 0, "{variant}: execution still bills");
         // And skips its latency: launch-to-first-output strictly below.
