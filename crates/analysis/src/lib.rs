@@ -17,7 +17,8 @@
 //! | `teardown-pair` | every `pub fn create_*`/`provision_*` in `crates/core`/`crates/comm` has a `remove_*`/`delete_*`/`teardown_*`/`destroy_*` twin in the same module; every `pub fn insert_*` has an `evict_*` twin |
 //! | `no-unwrap` | no `.unwrap()`, bare/undocumented `.expect(..)`, `panic!`, `unreachable!`, `todo!`, `unimplemented!` in non-test library code (binaries — `src/bin/*` and a package's `src/main.rs` — may fail fast) |
 //! | `lock-across-blocking` | a live `.lock()` guard must not be held across `.wait*(`/`.recv*(`/`sleep(` (condvar waits that consume the guard are recognized and allowed) |
-//! | `retry-idempotent` | a `RetryPolicy` `.run(..)` closure must not call non-idempotent channel ops (`receive_wait`, `take_visible`, `poll`, `poll_and_stash`, `settle_receives`, `delete_batch`, `enqueue`) — a retried attempt repeats its calls, so only idempotent ops may sit inside one |
+//! | `retry-idempotent` | a `RetryPolicy` `.run(..)` closure must not call non-idempotent channel ops (`take_visible`, `poll_and_stash`, `settle_receives`, `enqueue`) — a retried attempt repeats its calls, so only idempotent ops may sit inside one |
+//! | `comm-real-wait` | no `Condvar`, `Instant` or `Duration` in non-test `crates/comm/src` code outside `mailbox.rs` — the mailbox's grace is the crate's only real-time wait |
 //!
 //! Escape hatch: a comment containing `fsd_lint::allow(lint-name)` (optionally
 //! a comma-separated list, optionally followed by `: reason`) suppresses those
@@ -45,9 +46,11 @@ pub const LINT_NO_UNWRAP: &str = "no-unwrap";
 pub const LINT_LOCK_BLOCKING: &str = "lock-across-blocking";
 /// Lint name: non-idempotent op inside a `RetryPolicy::run` closure.
 pub const LINT_RETRY_IDEMPOTENT: &str = "retry-idempotent";
+/// Lint name: real-time wait primitive in `fsd-comm` outside its mailbox.
+pub const LINT_COMM_REAL_WAIT: &str = "comm-real-wait";
 
 /// Every lint this binary knows about, in diagnostic-name form.
-pub const ALL_LINTS: [&str; 7] = [
+pub const ALL_LINTS: [&str; 8] = [
     LINT_VARIANT_EXHAUSTIVE,
     LINT_BILLING_PAIR,
     LINT_RAW_CHANNEL_NAME,
@@ -55,6 +58,7 @@ pub const ALL_LINTS: [&str; 7] = [
     LINT_NO_UNWRAP,
     LINT_LOCK_BLOCKING,
     LINT_RETRY_IDEMPOTENT,
+    LINT_COMM_REAL_WAIT,
 ];
 
 /// A single diagnostic: `path:line: [lint] message`.
@@ -114,6 +118,12 @@ impl LintConfig {
 
     fn is_core_or_comm(&self) -> bool {
         self.path.starts_with("crates/core/") || self.path.starts_with("crates/comm/")
+    }
+
+    /// `fsd-comm` library code other than the mailbox module that owns
+    /// the crate's one real-time wait.
+    fn is_comm_outside_mailbox(&self) -> bool {
+        self.path.starts_with("crates/comm/src/") && self.path != "crates/comm/src/mailbox.rs"
     }
 }
 
@@ -1029,13 +1039,10 @@ fn lint_lock_across_blocking(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
 /// receives that pop messages, visibility takes, deletes, scheduler
 /// enqueues — would double their effect on retry.
 fn lint_retry_idempotent(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    const NON_IDEMPOTENT: [&str; 7] = [
-        "receive_wait",
+    const NON_IDEMPOTENT: [&str; 4] = [
         "take_visible",
-        "poll",
         "poll_and_stash",
         "settle_receives",
-        "delete_batch",
         "enqueue",
     ];
     let toks = ctx.toks;
@@ -1079,6 +1086,37 @@ fn lint_retry_idempotent(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     }
 }
 
+/// Lint 8: `comm-real-wait`.
+///
+/// Virtual time must not depend on host time, and the one place `fsd-comm`
+/// still lets it leak in is the mailbox's real-time grace. Keeping every
+/// `Condvar`, `Instant` and `Duration` inside `mailbox.rs` means that grace
+/// can be replaced by virtual-time synchronisation in one place.
+fn lint_comm_real_wait(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
+    if !ctx.cfg.is_comm_outside_mailbox() {
+        return;
+    }
+    let mut last_line = None;
+    for (t, &test) in ctx.toks.iter().zip(ctx.test) {
+        if test
+            || last_line == Some(t.line)
+            || !(t.is_word("Condvar") || t.is_word("Instant") || t.is_word("Duration"))
+        {
+            continue;
+        }
+        last_line = Some(t.line);
+        ctx.push(
+            out,
+            t.line,
+            LINT_COMM_REAL_WAIT,
+            format!(
+                "`{}` in fsd-comm outside mailbox.rs; block through `Mailbox::wait` so the crate keeps one real-time wait",
+                t.text
+            ),
+        );
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Entry points
 // ---------------------------------------------------------------------------
@@ -1103,6 +1141,7 @@ pub fn lint_source(src: &str, cfg: &LintConfig) -> Vec<Finding> {
         lint_no_unwrap(&ctx, &mut out);
         lint_lock_across_blocking(&ctx, &mut out);
         lint_retry_idempotent(&ctx, &mut out);
+        lint_comm_real_wait(&ctx, &mut out);
     }
     out.sort();
     out

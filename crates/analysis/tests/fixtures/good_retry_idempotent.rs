@@ -7,10 +7,11 @@ fn good_retry_over_put(opts: &Opts, lane: &mut VClock, store: &ObjectStore, key:
     let _ = (res, retries);
 }
 
-fn good_receive_outside_policy(lane: &mut VClock, env: &CloudEnv, q: u32) {
-    // Consuming receives are fine outside a retry closure.
-    let msgs = env.queue(q).receive_wait(lane, 10);
-    let _ = msgs;
+fn good_take_and_settle_outside_policy(lane: &mut VClock, env: &CloudEnv, q: u32) {
+    // Consuming takes and billing settles are fine outside a retry closure.
+    let msgs = env.queue(q).take_visible(10);
+    let taken: Vec<(VirtualTime, usize)> = msgs.iter().map(|m| (m.available_at, m.message.len())).collect();
+    env.queue(q).settle_receives(lane, 1.0, &taken);
 }
 
 fn good_unrelated_run(runner: &Runner, lane: &mut VClock) {

@@ -164,6 +164,31 @@ fn retry_idempotent_flags_consuming_ops_in_retry_closures() {
 }
 
 #[test]
+fn comm_real_wait_flags_wait_primitives_outside_the_mailbox() {
+    let bad = include_str!("fixtures/bad_comm_real_wait.rs");
+    assert_eq!(
+        findings(bad, "crates/comm/src/fixture.rs"),
+        vec![
+            ("comm-real-wait", 1),
+            ("comm-real-wait", 2),
+            ("comm-real-wait", 4),
+            ("comm-real-wait", 8),
+            ("comm-real-wait", 14),
+            ("comm-real-wait", 15)
+        ]
+    );
+    // The mailbox owns the one real-time wait; other crates are out of
+    // scope.
+    for path in ["crates/comm/src/mailbox.rs", "crates/core/src/fixture.rs"] {
+        assert_eq!(findings(bad, path), vec![], "{path} is exempt");
+    }
+    // Blocking through the mailbox is the sanctioned shape, and test
+    // modules may time themselves.
+    let good = include_str!("fixtures/good_comm_real_wait.rs");
+    assert_eq!(findings(good, "crates/comm/src/fixture.rs"), vec![]);
+}
+
+#[test]
 fn allow_comment_silences_only_the_named_line() {
     let src = include_str!("fixtures/allow_escape_hatch.rs");
     // The documented panic! is silenced; the undocumented unwrap is not.

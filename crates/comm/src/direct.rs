@@ -13,26 +13,22 @@
 //!
 //! The punch is the only step the fault plane intercepts
 //! ([`ApiClass::DirectPunch`]); established connections never drop
-//! in-model. Frames are stamped with the sender's virtual clock; the
-//! receive path mirrors the object store's deterministic split — a free
-//! real-time-grace [`DirectNet::fetch`], then [`DirectNet::settle_recv`]
-//! joins the receiver's clock against the stamps — so billing (here:
-//! byte/message accounting only) and timing never depend on real-thread
-//! scheduling.
+//! in-model. Frames are stamped with the sender's virtual clock and the
+//! receive path is the crate's single raw-take-then-settle model: a free
+//! [`DirectNet::fetch`] returns the frames past what the receiver already
+//! holds (waiting at most the mailbox's real-time grace for new ones),
+//! then [`DirectNet::settle_recv`] joins the receiver's clock against
+//! their stamps — so billing (here: byte/message accounting only) and
+//! timing never depend on real-thread scheduling.
 
 use crate::fault::{ApiClass, FaultPlane};
 use crate::latency::{Jitter, LatencyModel};
+use crate::mailbox::Mailbox;
 use crate::message::CommError;
 use crate::meter::ServiceMeter;
 use crate::time::{VClock, VirtualTime};
-use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::time::Duration;
-
-/// Real-time grace used by [`DirectNet::fetch`] before giving up and
-/// letting the caller take the (virtual-time) idle-wait escape hatch.
-const REAL_WAIT_LONG: Duration = Duration::from_millis(150);
 
 /// One frame delivered over a punched connection.
 #[derive(Clone)]
@@ -62,8 +58,7 @@ struct NetState {
 /// The direct-exchange fabric of one region: punched connections and
 /// per-(flow, receiver, tag) mailboxes.
 pub struct DirectNet {
-    state: Mutex<NetState>,
-    cond: Condvar,
+    state: Mailbox<NetState>,
     meter: Arc<ServiceMeter>,
     latency: LatencyModel,
     jitter: Arc<Jitter>,
@@ -78,8 +73,7 @@ impl DirectNet {
         faults: Arc<FaultPlane>,
     ) -> DirectNet {
         DirectNet {
-            state: Mutex::new(NetState::default()),
-            cond: Condvar::new(),
+            state: Mailbox::new(NetState::default()),
             meter,
             latency,
             jitter,
@@ -146,38 +140,33 @@ impl DirectNet {
             body,
             available_at: clock.now(),
         };
-        self.state
-            .lock()
-            .mailboxes
-            .entry((flow, dst, tag.to_string()))
-            .or_default()
-            .push(frame);
-        self.cond.notify_all();
+        self.state.update(|state| {
+            state
+                .mailboxes
+                .entry((flow, dst, tag.to_string()))
+                .or_default()
+                .push(frame)
+        });
         Ok(())
     }
 
-    /// Raw mailbox read for the deterministic receive path: blocks briefly
-    /// in *real* time while no more than `known` frames sit under
-    /// `(flow, dst, tag)`, then returns every frame — **no clock movement,
-    /// no visibility filter**. The caller later settles timing from the
-    /// stamps with [`DirectNet::settle_recv`].
+    /// Raw mailbox read for the deterministic receive path. Mailboxes are
+    /// append-only, so the receiver names how many frames it already
+    /// holds under `(flow, dst, tag)`; this waits (at most the mailbox's
+    /// real-time grace) for more than `known`, then returns the frames
+    /// past `known` — **no clock movement, no visibility filter**. The
+    /// caller later settles timing from the stamps with
+    /// [`DirectNet::settle_recv`].
     pub fn fetch(&self, flow: u64, dst: usize, tag: &str, known: usize) -> Vec<DirectFrame> {
         let key = (flow, dst, tag.to_string());
-        let mut state = self.state.lock();
-        let grab = |s: &NetState| s.mailboxes.get(&key).cloned().unwrap_or_default();
-        let mut found = grab(&state);
-        if found.len() <= known {
-            let deadline = std::time::Instant::now() + REAL_WAIT_LONG;
-            while found.len() <= known {
-                let timeout = deadline.saturating_duration_since(std::time::Instant::now());
-                if timeout.is_zero() {
-                    break;
-                }
-                self.cond.wait_for(&mut state, timeout);
-                found = grab(&state);
-            }
-        }
-        found
+        let state = self
+            .state
+            .wait(|s| s.mailboxes.get(&key).map_or(0, Vec::len) > known);
+        state
+            .mailboxes
+            .get(&key)
+            .and_then(|frames| frames.get(known..))
+            .map_or_else(Vec::new, <[DirectFrame]>::to_vec)
     }
 
     /// Joins the receiver's clock against frame stamps: a blocked receiver
@@ -202,22 +191,21 @@ impl DirectNet {
     /// Tears down everything the flow holds: punched connections and
     /// undrained mailboxes. Returns `(connections, frames)` dropped.
     pub fn close_flow(&self, flow: u64) -> (usize, usize) {
-        let mut state = self.state.lock();
-        let conns_before = state.connections.len();
-        state.connections.retain(|&(f, _, _)| f != flow);
-        let conns = conns_before - state.connections.len();
-        let mut frames = 0usize;
-        state.mailboxes.retain(|&(f, _, _), v| {
-            if f == flow {
-                frames += v.len();
-                false
-            } else {
-                true
-            }
-        });
-        drop(state);
-        self.cond.notify_all();
-        (conns, frames)
+        self.state.update(|state| {
+            let conns_before = state.connections.len();
+            state.connections.retain(|&(f, _, _)| f != flow);
+            let conns = conns_before - state.connections.len();
+            let mut frames = 0usize;
+            state.mailboxes.retain(|&(f, _, _), v| {
+                if f == flow {
+                    frames += v.len();
+                    false
+                } else {
+                    true
+                }
+            });
+            (conns, frames)
+        })
     }
 
     /// Live punched connections across all flows (residue audit).
@@ -233,11 +221,10 @@ impl DirectNet {
     /// Drops all connections and mailboxes (between benchmark
     /// repetitions; never while a request is in flight).
     pub fn reset(&self) {
-        let mut state = self.state.lock();
-        state.connections.clear();
-        state.mailboxes.clear();
-        drop(state);
-        self.cond.notify_all();
+        self.state.update(|state| {
+            state.connections.clear();
+            state.mailboxes.clear();
+        });
     }
 }
 
@@ -347,14 +334,16 @@ mod tests {
     }
 
     #[test]
-    fn fetch_honors_known_and_returns_everything() {
+    fn fetch_returns_only_frames_past_known() {
         let n = net();
         let mut clock = VClock::default().with_flow(2);
         n.send(&mut clock, 0, 3, "L5", &b"a"[..]).expect("send");
         n.send(&mut clock, 1, 3, "L5", &b"b"[..]).expect("send");
-        // known=2: nothing new — returns after the grace with both frames.
-        let frames = n.fetch(2, 3, "L5", 2);
-        assert_eq!(frames.len(), 2);
+        let frames = n.fetch(2, 3, "L5", 1);
+        assert_eq!(frames.len(), 1);
+        assert_eq!(frames[0].src, 1);
+        // known=2: nothing new — returns empty after the grace.
+        assert!(n.fetch(2, 3, "L5", 2).is_empty());
         // Other tags and receivers are isolated.
         assert!(n.fetch(2, 3, "L6", 0).is_empty());
         assert!(n.fetch(2, 4, "L5", 0).is_empty());
@@ -378,8 +367,10 @@ mod tests {
         for h in handles {
             h.join().expect("sender");
         }
+        // known=1: the reader wakes once both frames sit in the mailbox
+        // and takes the one past what it already holds.
         let frames = reader.join().expect("reader");
-        assert_eq!(frames.len(), 2);
+        assert_eq!(frames.len(), 1);
     }
 
     #[test]

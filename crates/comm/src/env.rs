@@ -360,9 +360,10 @@ mod tests {
             .put(&bucket_name(1), "k", &b"v"[..], &mut clock)
             .expect("put");
         let q = env.queue("w0");
-        q.poll(&mut clock, crate::queue::PollKind::Short);
+        q.empty_poll(&mut clock, 0.1);
         let snap = env.snapshot();
         assert_eq!(snap.s3_put_requests, 1);
         assert_eq!(snap.sqs_api_calls, 1);
+        assert_eq!(snap.sqs_empty_polls, 1);
     }
 }

@@ -141,8 +141,7 @@ impl Jitter {
     }
 
     /// A fresh deterministic uniform draw in `[0, 1)`, independent of the
-    /// jitter half-width (used for sampling decisions such as short-poll
-    /// visibility).
+    /// jitter half-width.
     pub fn unit(&self) -> f64 {
         let n = self
             .state

@@ -63,15 +63,6 @@ pub struct QueuedMessage {
     pub message: Message,
 }
 
-/// A message handed to a consumer by a poll, with the receipt handle needed
-/// to delete it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReceivedMessage {
-    pub handle: u64,
-    pub available_at: VirtualTime,
-    pub message: Message,
-}
-
 /// Errors raised by the simulated communication services.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CommError {

@@ -7,27 +7,28 @@
 //! object size — the economics the paper's cost model builds on.
 //!
 //! Visibility follows virtual time: an object written at virtual time `t`
-//! is visible to LIST/GET calls whose clock has reached `t` (read-after-
-//! write consistency in simulated time, preventing causality violations
-//! between workers whose clocks have drifted apart).
+//! is readable by GETs whose clock has reached `t` (read-after-write
+//! consistency in simulated time, preventing causality violations between
+//! workers whose clocks have drifted apart).
+//!
+//! A worker's continuous prefix scan (Algorithm 2) is split in two so that
+//! billing and timing never depend on real-thread scheduling:
+//! [`ObjectStore::scan_keys`] is the raw, unbilled look at the prefix
+//! (waiting at most the mailbox's real-time grace for new keys), and
+//! [`ObjectStore::settle_scans`] later bills the LIST sequence the scan
+//! loop would have issued, from the surfaced objects' stamps alone.
+//! [`ObjectStore::empty_scan`] bills the one unproductive LIST of a
+//! genuine producer drought.
 
 use crate::fault::{ApiClass, FaultPlane};
 use crate::latency::{Jitter, LatencyModel};
+use crate::mailbox::Mailbox;
 use crate::message::CommError;
 use crate::meter::ServiceMeter;
 use crate::time::{VClock, VirtualTime};
-use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Bound;
 use std::sync::Arc;
-use std::time::Duration;
-
-/// Real-time wait before an empty LIST returns (prevents busy-spinning
-/// while producer threads catch up; virtual cost is modeled separately).
-const REAL_WAIT: Duration = Duration::from_millis(2);
-
-/// Real-time grace used by [`ObjectStore::list_wait`] before giving up and
-/// returning an empty (billed) scan.
-const REAL_WAIT_LONG: Duration = Duration::from_millis(150);
 
 #[derive(Clone)]
 struct StoredObject {
@@ -35,10 +36,19 @@ struct StoredObject {
     available_at: VirtualTime,
 }
 
+/// The keys of `objects` under `prefix`, in key order.
+fn under<'a>(
+    objects: &'a BTreeMap<String, StoredObject>,
+    prefix: &'a str,
+) -> impl Iterator<Item = (&'a String, &'a StoredObject)> {
+    objects
+        .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+        .take_while(move |(k, _)| k.starts_with(prefix))
+}
+
 /// The object storage service.
 pub struct ObjectStore {
-    buckets: Mutex<HashMap<String, BTreeMap<String, StoredObject>>>,
-    cond: Condvar,
+    buckets: Mailbox<HashMap<String, BTreeMap<String, StoredObject>>>,
     meter: Arc<ServiceMeter>,
     latency: LatencyModel,
     jitter: Arc<Jitter>,
@@ -53,8 +63,7 @@ impl ObjectStore {
         faults: Arc<FaultPlane>,
     ) -> ObjectStore {
         ObjectStore {
-            buckets: Mutex::new(HashMap::new()),
-            cond: Condvar::new(),
+            buckets: Mailbox::new(HashMap::new()),
             meter,
             latency,
             jitter,
@@ -72,8 +81,7 @@ impl ObjectStore {
     /// twin of [`ObjectStore::create_bucket`]. Like creation, bucket
     /// lifecycle is an offline control-plane operation and is not billed.
     pub fn remove_bucket(&self, name: &str) {
-        self.buckets.lock().remove(name);
-        self.cond.notify_all();
+        self.buckets.update(|buckets| buckets.remove(name));
     }
 
     /// Whether a bucket exists.
@@ -104,22 +112,9 @@ impl ObjectStore {
             return Err(kind.to_error(format!("s3:put {bucket}/{key}")));
         }
         clock.advance_micros(dur);
-        let mut buckets = self.buckets.lock();
-        let b = buckets
-            .get_mut(bucket)
-            .ok_or_else(|| CommError::NoSuchBucket {
-                bucket: bucket.to_string(),
-            })?;
-        self.meter.record_s3_put(clock.flow(), bytes.len() as u64);
-        b.insert(
-            key.to_string(),
-            StoredObject {
-                bytes,
-                available_at: clock.now(),
-            },
-        );
-        drop(buckets);
-        self.cond.notify_all();
+        let len = bytes.len() as u64;
+        self.store(bucket, key, bytes, clock.now())?;
+        self.meter.record_s3_put(clock.flow(), len);
         Ok(())
     }
 
@@ -133,23 +128,32 @@ impl ObjectStore {
         key: &str,
         bytes: impl Into<Arc<[u8]>>,
     ) -> Result<(), CommError> {
-        let bytes = bytes.into();
-        let mut buckets = self.buckets.lock();
-        let b = buckets
-            .get_mut(bucket)
-            .ok_or_else(|| CommError::NoSuchBucket {
-                bucket: bucket.to_string(),
-            })?;
-        b.insert(
-            key.to_string(),
-            StoredObject {
-                bytes,
-                available_at: VirtualTime::ZERO,
-            },
-        );
-        drop(buckets);
-        self.cond.notify_all();
-        Ok(())
+        self.store(bucket, key, bytes.into(), VirtualTime::ZERO)
+    }
+
+    /// Inserts one object visible from `available_at` and wakes scanners.
+    fn store(
+        &self,
+        bucket: &str,
+        key: &str,
+        bytes: Arc<[u8]>,
+        available_at: VirtualTime,
+    ) -> Result<(), CommError> {
+        self.buckets.update(|buckets| {
+            let b = buckets
+                .get_mut(bucket)
+                .ok_or_else(|| CommError::NoSuchBucket {
+                    bucket: bucket.to_string(),
+                })?;
+            b.insert(
+                key.to_string(),
+                StoredObject {
+                    bytes,
+                    available_at,
+                },
+            );
+            Ok(())
+        })
     }
 
     /// One `GET`: returns the object body if it exists and is visible at
@@ -194,169 +198,29 @@ impl ObjectStore {
         }
     }
 
-    /// One `LIST`: keys under `prefix` visible at the caller's clock (after
-    /// the LIST round trip). If nothing is visible, blocks briefly in real
-    /// time for producers before re-checking, then returns (possibly empty).
-    pub fn list(
-        &self,
-        bucket: &str,
-        prefix: &str,
-        clock: &mut VClock,
-    ) -> Result<Vec<String>, CommError> {
-        self.meter.record_s3_list(clock.flow());
-        clock.advance_micros(self.jitter.apply(self.latency.s3_list_us));
-        let mut buckets = self.buckets.lock();
-        if !buckets.contains_key(bucket) {
-            return Err(CommError::NoSuchBucket {
-                bucket: bucket.to_string(),
-            });
-        }
-        let collect = |buckets: &HashMap<String, BTreeMap<String, StoredObject>>| {
-            buckets[bucket]
-                .range(prefix.to_string()..)
-                .take_while(|(k, _)| k.starts_with(prefix))
-                .filter(|(_, o)| o.available_at <= clock.now())
-                .map(|(k, _)| k.clone())
-                .collect::<Vec<String>>()
-        };
-        let mut keys = collect(&buckets);
-        if keys.is_empty() {
-            self.cond.wait_for(&mut buckets, REAL_WAIT);
-            keys = collect(&buckets);
-        }
-        Ok(keys)
-    }
-
-    /// The FSI scan primitive: LIST with continuous-rescan billing.
-    ///
-    /// FSD-Inf-Object workers scan their prefix in a tight multi-threaded
-    /// loop until **new** files appear. Objects persist after being
-    /// processed, so the caller passes `known` — how many keys under the
-    /// prefix it has already handled; a listing is only *productive* when
-    /// more keys than that exist. Unproductive scans block briefly in real
-    /// time (letting producer threads run) and bill a single LIST.
-    ///
-    /// When the earliest unseen object is stamped `gap` ahead of the
-    /// caller's clock, the continuous scan loop it models is billed as
-    /// `ceil(gap / scan_interval)` LIST requests and the clock advances to
-    /// the stamp (`scan_interval` defaults to the LIST round trip —
-    /// back-to-back scanning).
-    ///
-    /// Returns `(visible keys, billed LISTs)`.
-    pub fn list_wait(
-        &self,
-        bucket: &str,
-        prefix: &str,
-        clock: &mut VClock,
-        scan_interval_us: Option<u64>,
-        known: usize,
-    ) -> Result<(Vec<String>, u64), CommError> {
-        let interval = scan_interval_us.unwrap_or(self.latency.s3_list_us).max(1);
-        let mut buckets = self.buckets.lock();
-        if !buckets.contains_key(bucket) {
-            return Err(CommError::NoSuchBucket {
-                bucket: bucket.to_string(),
-            });
-        }
-        let matches = |buckets: &HashMap<String, BTreeMap<String, StoredObject>>| {
-            buckets[bucket]
-                .range(prefix.to_string()..)
-                .take_while(|(k, _)| k.starts_with(prefix))
-                .map(|(k, o)| (k.clone(), o.available_at))
-                .collect::<Vec<(String, VirtualTime)>>()
-        };
-        let mut found = matches(&buckets);
-        if found.len() <= known {
-            // Nothing new yet: real-time grace for producers (notified on
-            // every PUT), then re-check.
-            let deadline = std::time::Instant::now() + REAL_WAIT_LONG;
-            while found.len() <= known {
-                let timeout = deadline.saturating_duration_since(std::time::Instant::now());
-                if timeout.is_zero() {
-                    break;
-                }
-                self.cond.wait_for(&mut buckets, timeout);
-                found = matches(&buckets);
-            }
-        }
-        drop(buckets);
-        let now = clock.now();
-        let visible = |found: &[(String, VirtualTime)], now: VirtualTime| {
-            found
-                .iter()
-                .filter(|(_, t)| *t <= now)
-                .map(|(k, _)| k.clone())
-                .collect::<Vec<_>>()
-        };
-        if found.len() <= known {
-            // Still nothing new: one empty-ish scan, caller loops.
-            self.meter.record_s3_list(clock.flow());
-            clock.advance_micros(self.jitter.apply(self.latency.s3_list_us));
-            return Ok((visible(&found, clock.now()), 1));
-        }
-        let vis_now = found.iter().filter(|(_, t)| *t <= now).count();
-        let scans = if vis_now > known {
-            // New keys are already visible: a single productive scan.
-            1
-        } else {
-            // New keys exist but are stamped in the virtual future: model
-            // the continuous re-scan loop until the earliest one lands.
-            let earliest = found
-                .iter()
-                .filter(|(_, t)| *t > now)
-                .map(|(_, t)| *t)
-                .min()
-                .expect("future key exists");
-            let gap = earliest.as_micros().saturating_sub(now.as_micros());
-            clock.observe(earliest);
-            1 + gap / interval
-        };
-        for _ in 0..scans {
-            self.meter.record_s3_list(clock.flow());
-        }
-        clock.advance_micros(self.jitter.apply(self.latency.s3_list_us));
-        Ok((visible(&found, clock.now()), scans))
-    }
-
-    /// Raw scan for the deterministic channel receive path: blocks briefly
-    /// in *real* time while no more than `known` keys match, then returns
-    /// every matching `(key, availability stamp)` — **no billing, no clock
-    /// movement, no visibility filter**. The caller later reconstructs the
-    /// billed continuous-rescan sequence from the stamps with
-    /// [`ObjectStore::settle_scans`], decoupling billing and timing from
-    /// real-thread scheduling.
+    /// Raw scan for the deterministic receive path: waits (at most the
+    /// mailbox's real-time grace) until more than `known` keys sit under
+    /// `prefix`, then returns every matching `(key, availability stamp)`
+    /// — **no billing, no clock movement, no visibility filter**. The
+    /// caller later reconstructs the billed continuous-rescan sequence
+    /// from the stamps with [`ObjectStore::settle_scans`].
     pub fn scan_keys(
         &self,
         bucket: &str,
         prefix: &str,
         known: usize,
     ) -> Result<Vec<(String, VirtualTime)>, CommError> {
-        let mut buckets = self.buckets.lock();
-        if !buckets.contains_key(bucket) {
-            return Err(CommError::NoSuchBucket {
-                bucket: bucket.to_string(),
-            });
-        }
-        let matches = |buckets: &HashMap<String, BTreeMap<String, StoredObject>>| {
-            buckets[bucket]
-                .range(prefix.to_string()..)
-                .take_while(|(k, _)| k.starts_with(prefix))
-                .map(|(k, o)| (k.clone(), o.available_at))
-                .collect::<Vec<(String, VirtualTime)>>()
-        };
-        let mut found = matches(&buckets);
-        if found.len() <= known {
-            let deadline = std::time::Instant::now() + REAL_WAIT_LONG;
-            while found.len() <= known {
-                let timeout = deadline.saturating_duration_since(std::time::Instant::now());
-                if timeout.is_zero() {
-                    break;
-                }
-                self.cond.wait_for(&mut buckets, timeout);
-                found = matches(&buckets);
-            }
-        }
-        Ok(found)
+        let buckets = self.buckets.wait(|buckets| {
+            buckets
+                .get(bucket)
+                .is_none_or(|objects| under(objects, prefix).nth(known).is_some())
+        });
+        let objects = buckets.get(bucket).ok_or_else(|| CommError::NoSuchBucket {
+            bucket: bucket.to_string(),
+        })?;
+        Ok(under(objects, prefix)
+            .map(|(k, o)| (k.clone(), o.available_at))
+            .collect())
     }
 
     /// Bills one unproductive LIST (the liveness escape hatch of the
@@ -485,13 +349,13 @@ mod tests {
             Err(CommError::NoSuchBucket { .. })
         ));
         assert!(matches!(
-            s.list("ghost", "", &mut clock),
+            s.scan_keys("ghost", "", 0),
             Err(CommError::NoSuchBucket { .. })
         ));
     }
 
     #[test]
-    fn list_filters_by_prefix() {
+    fn scan_keys_filters_by_prefix() {
         let s = store();
         s.create_bucket("b");
         let mut clock = VClock::default();
@@ -502,12 +366,18 @@ mod tests {
             .expect("put");
         s.put("b", "2/5/0_5.dat", &b"x"[..], &mut clock)
             .expect("put");
-        let mut reader = VClock::starting_at(VirtualTime::from_secs_f64(100.0));
-        let keys = s.list("b", "1/5/", &mut reader).expect("list");
+        let keys: Vec<String> = s
+            .scan_keys("b", "1/5/", 0)
+            .expect("scan")
+            .into_iter()
+            .map(|(k, _)| k)
+            .collect();
         assert_eq!(
             keys,
             vec!["1/5/0_5.dat".to_string(), "1/5/2_5.nul".to_string()]
         );
+        // Scanning is free: only the four PUTs are billed.
+        assert_eq!(s.meter.snapshot().s3_list_requests, 0);
     }
 
     #[test]
@@ -517,13 +387,11 @@ mod tests {
         // Writer with a fast-forwarded clock writes "in the future".
         let mut writer = VClock::starting_at(VirtualTime::from_secs_f64(50.0));
         s.put("b", "k.dat", &b"x"[..], &mut writer).expect("put");
-        // Reader still at t=0 cannot see or read it...
+        // Reader still at t=0 cannot read it...
         let mut reader = VClock::default();
-        assert!(s.list("b", "", &mut reader).expect("list").is_empty());
         assert!(s.get("b", "k.dat", &mut reader).is_err());
         // ...until its clock passes the availability stamp.
         let mut late = VClock::starting_at(VirtualTime::from_secs_f64(60.0));
-        assert_eq!(s.list("b", "", &mut late).expect("list").len(), 1);
         assert!(s.get("b", "k.dat", &mut late).is_ok());
     }
 
@@ -572,7 +440,7 @@ mod tests {
         let mut clock = VClock::default();
         s.put("b", "k", &b"abc"[..], &mut clock).expect("put");
         s.get("b", "k", &mut clock).expect("get");
-        s.list("b", "", &mut clock).expect("list");
+        s.settle_scans(&mut clock, None, &[]);
         let snap = s.meter.snapshot();
         assert_eq!(snap.s3_put_requests, 1);
         assert_eq!(snap.s3_put_bytes, 3);
@@ -582,60 +450,50 @@ mod tests {
     }
 
     #[test]
-    fn list_wait_bills_scan_rounds_for_future_objects() {
+    fn scan_keys_returns_future_keys_with_their_stamps() {
         let s = store();
         s.create_bucket("b");
-        let mut writer = VClock::starting_at(VirtualTime::from_secs_f64(1.0));
+        // Writer with a fast-forwarded clock writes "in the future"; the
+        // raw scan applies no visibility filter.
+        let mut writer = VClock::starting_at(VirtualTime::from_secs_f64(50.0));
         s.put("b", "5/3/1_3.dat", &b"x"[..], &mut writer)
             .expect("put");
-        let stamp = writer.now();
-        let before = s.meter.snapshot().s3_list_requests;
-        // Reader 1s of virtual time behind; scan interval 100ms → ~10 scans.
-        let mut reader = VClock::starting_at(
-            stamp
-                .as_micros()
-                .checked_sub(1_000_000)
-                .map(VirtualTime)
-                .unwrap(),
-        );
-        let (keys, billed) = s
-            .list_wait("b", "5/3/", &mut reader, Some(100_000), 0)
-            .expect("list");
-        assert_eq!(keys.len(), 1);
-        assert!(billed >= 10);
-        let scans = s.meter.snapshot().s3_list_requests - before;
-        assert!(
-            (10..=11).contains(&scans),
-            "expected ~10 scans, billed {scans}"
-        );
+        let found = s.scan_keys("b", "5/3/", 0).expect("scan");
+        assert_eq!(found, vec![("5/3/1_3.dat".to_string(), writer.now())]);
+        // known=1: nothing new — returns after the grace with the same key.
+        assert_eq!(s.scan_keys("b", "5/3/", 1).expect("scan").len(), 1);
+        assert!(s.scan_keys("b", "5/4/", 0).expect("scan").is_empty());
+    }
+
+    #[test]
+    fn settle_scans_bills_rescans_for_future_stamps() {
+        let s = store();
+        let stamp = VirtualTime::from_secs_f64(2.0);
+        // Reader 1s of virtual time behind; scan interval 100ms → exactly
+        // 10 rescans, then the productive LIST.
+        let mut reader = VClock::starting_at(VirtualTime::from_secs_f64(1.0));
+        let billed = s.settle_scans(&mut reader, Some(100_000), &[stamp]);
+        assert_eq!(billed, 11);
+        assert_eq!(s.meter.snapshot().s3_list_requests, 11);
         assert!(reader.now() >= stamp);
     }
 
     #[test]
-    fn list_wait_single_scan_when_ready() {
+    fn settle_scans_single_list_when_ready_or_empty() {
         let s = store();
-        s.create_bucket("b");
-        let mut writer = VClock::default();
-        s.put("b", "k.dat", &b"x"[..], &mut writer).expect("put");
-        let before = s.meter.snapshot().s3_list_requests;
         let mut reader = VClock::starting_at(VirtualTime::from_secs_f64(10.0));
-        let (keys, billed) = s.list_wait("b", "", &mut reader, None, 0).expect("list");
-        assert_eq!(keys.len(), 1);
-        assert_eq!(billed, 1);
-        assert_eq!(s.meter.snapshot().s3_list_requests - before, 1);
+        assert_eq!(s.settle_scans(&mut reader, None, &[VirtualTime::ZERO]), 1);
+        assert_eq!(s.settle_scans(&mut reader, None, &[]), 1);
+        assert_eq!(s.meter.snapshot().s3_list_requests, 2);
     }
 
     #[test]
-    fn list_wait_empty_when_nothing_arrives() {
+    fn empty_scan_bills_one_list() {
         let s = store();
-        s.create_bucket("b");
         let mut reader = VClock::default();
-        let (keys, billed) = s
-            .list_wait("b", "none/", &mut reader, None, 0)
-            .expect("list");
-        assert!(keys.is_empty());
-        assert_eq!(billed, 1);
+        s.empty_scan(&mut reader);
         assert_eq!(s.meter.snapshot().s3_list_requests, 1);
+        assert_eq!(reader.now().as_micros(), s.latency.s3_list_us);
     }
 
     #[test]
@@ -656,8 +514,6 @@ mod tests {
         for h in writers {
             h.join().expect("writer");
         }
-        let mut reader = VClock::starting_at(VirtualTime::from_secs_f64(1e6));
-        let keys = s.list("b", "", &mut reader).expect("list");
-        assert_eq!(keys.len(), 100);
+        assert_eq!(s.scan_keys("b", "", 0).expect("scan").len(), 100);
     }
 }

@@ -187,8 +187,6 @@ pub fn topic_name(topic: usize) -> String {
 mod tests {
     use super::*;
     use crate::message::MessageAttributes;
-    use crate::queue::PollKind;
-    use crate::time::VirtualTime;
 
     fn plane() -> Arc<FaultPlane> {
         Arc::new(FaultPlane::disabled())
@@ -244,8 +242,7 @@ mod tests {
         .expect("publish");
         assert_eq!(q0.visible_len(), 2);
         assert_eq!(q1.visible_len(), 1);
-        let mut c = VClock::starting_at(VirtualTime::from_secs_f64(10.0));
-        let got = q1.poll(&mut c, PollKind::Long { wait_secs: 1.0 });
+        let got = q1.take_visible(10);
         assert_eq!(got[0].message.body, b"to-1");
     }
 
@@ -335,8 +332,7 @@ mod tests {
         ps.publish_batch(0, &mut clock, vec![msg(0, b"timed")])
             .expect("publish");
         let publish_done = clock.now();
-        let mut c = VClock::default();
-        let got = q0.poll(&mut c, PollKind::Long { wait_secs: 1.0 });
+        let got = q0.take_visible(10);
         assert!(
             got[0].available_at > publish_done,
             "delivery must add topic→queue delay"
@@ -382,19 +378,8 @@ mod tests {
             .expect("publish");
         assert_eq!(qa.visible_len(), 1);
         assert_eq!(qb.visible_len(), 1);
-        let mut c = VClock::starting_at(VirtualTime::from_secs_f64(1.0));
-        assert_eq!(
-            qa.poll(&mut c, PollKind::Long { wait_secs: 0.1 })[0]
-                .message
-                .body,
-            b"for-a"
-        );
-        assert_eq!(
-            qb.poll(&mut c, PollKind::Long { wait_secs: 0.1 })[0]
-                .message
-                .body,
-            b"for-b"
-        );
+        assert_eq!(qa.take_visible(10)[0].message.body, b"for-a");
+        assert_eq!(qb.take_visible(10)[0].message.body, b"for-b");
     }
 
     #[test]

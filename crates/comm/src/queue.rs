@@ -1,53 +1,31 @@
-//! SQS-like message queues with long/short polling.
+//! SQS-like message queues.
 //!
 //! Each FSD-Inference worker owns a dedicated queue (one queue per consumer
-//! avoids consumer-side filtering entirely — Section III-A). Semantics
-//! modeled after SQS:
+//! avoids consumer-side filtering entirely — Section III-A) and drains it
+//! by long polling with wait `W` (Algorithm 1). The receive path is split
+//! in two so that billing and timing never depend on how real threads
+//! happened to batch the physical arrivals:
 //!
-//! * `ReceiveMessage` returns at most 10 messages per call;
-//! * **long polling** (`W > 0`) visits "all servers": every visible message
-//!   is eligible, and an empty response costs the full wait `W`;
-//! * **short polling** (`W = 0`) samples a subset of servers: each visible
-//!   message is seen with fixed probability, so polls can return
-//!   empty-handed even when messages exist (the behaviour the paper's
-//!   analysis found strictly worse);
-//! * received messages become *in flight* until deleted; a failure-injection
-//!   hook re-queues them, modeling visibility-timeout expiry.
+//! * [`SqsQueue::take_visible`] is the raw take: it removes up to `max`
+//!   visible messages — **no billing, no clock movement** — after waiting
+//!   at most the shared real-time grace of the crate's mailbox for a
+//!   producer;
+//! * [`SqsQueue::settle_receives`] later reconstructs, from the taken
+//!   messages' availability stamps alone, the long-poll sequence a consumer
+//!   would have issued (≤ 10 messages per `ReceiveMessage`, an empty round
+//!   costing the full wait `W`, one `DeleteMessageBatch` per productive
+//!   round), billing every call and advancing the consumer's clock;
+//! * [`SqsQueue::empty_poll`] is the liveness escape hatch when the grace
+//!   ran out with nothing taken: one billed empty long poll.
 
 use crate::fault::{ApiClass, FaultPlane};
 use crate::latency::{Jitter, LatencyModel};
-use crate::message::{quota, Message, QueuedMessage, ReceivedMessage};
+use crate::mailbox::Mailbox;
+use crate::message::{quota, Message, QueuedMessage};
 use crate::meter::ServiceMeter;
 use crate::time::{VClock, VirtualTime};
-use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Duration;
-
-/// How a receive call polls the queue.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PollKind {
-    /// Long polling with wait parameter `W` (seconds of virtual time).
-    Long { wait_secs: f64 },
-    /// Short polling: immediate response, may miss visible messages.
-    Short,
-}
-
-/// Probability that short polling sees any given message (subset-of-servers
-/// model). Deterministic per queue seed.
-const SHORT_POLL_VISIBILITY: f64 = 0.7;
-
-/// How long a poll blocks in *real* time waiting for producers before
-/// returning empty. Real time is never load-bearing — this only prevents
-/// busy-spinning while producer threads catch up.
-const REAL_WAIT: Duration = Duration::from_millis(2);
-
-/// Real-time grace used by [`SqsQueue::receive_wait`]: producers that take
-/// longer than this in *real* time cause a billed empty long poll, which is
-/// harmless (the algorithm just polls again) but keeps stuck runs moving
-/// toward their virtual timeout.
-const REAL_WAIT_LONG: Duration = Duration::from_millis(150);
 
 /// Cap on consecutive injected receive/delete failures modeled inside one
 /// [`SqsQueue::settle_receives`] round. Bounds the settle loop even under
@@ -56,17 +34,10 @@ const REAL_WAIT_LONG: Duration = Duration::from_millis(150);
 /// capped re-settle models.
 const MAX_SETTLE_RETRIES: u32 = 8;
 
-struct QueueInner {
-    visible: VecDeque<QueuedMessage>,
-    in_flight: HashMap<u64, QueuedMessage>,
-}
-
 /// A single simulated queue.
 pub struct SqsQueue {
     name: String,
-    inner: Mutex<QueueInner>,
-    cond: Condvar,
-    next_handle: AtomicU64,
+    visible: Mailbox<VecDeque<QueuedMessage>>,
     meter: Arc<ServiceMeter>,
     latency: LatencyModel,
     jitter: Arc<Jitter>,
@@ -84,12 +55,7 @@ impl SqsQueue {
     ) -> SqsQueue {
         SqsQueue {
             name,
-            inner: Mutex::new(QueueInner {
-                visible: VecDeque::new(),
-                in_flight: HashMap::new(),
-            }),
-            cond: Condvar::new(),
-            next_handle: AtomicU64::new(1),
+            visible: Mailbox::new(VecDeque::new()),
             meter,
             latency,
             jitter,
@@ -105,199 +71,29 @@ impl SqsQueue {
     /// Enqueues a message stamped with its virtual availability time.
     /// Called by the pub-sub fan-out (and directly by tests).
     pub fn enqueue(&self, available_at: VirtualTime, message: Message) {
-        let mut inner = self.inner.lock();
-        inner.visible.push_back(QueuedMessage {
-            available_at,
-            message,
+        self.visible.update(|visible| {
+            visible.push_back(QueuedMessage {
+                available_at,
+                message,
+            })
         });
-        drop(inner);
-        self.cond.notify_all();
     }
 
     /// Number of currently visible messages (diagnostics/tests).
     pub fn visible_len(&self) -> usize {
-        self.inner.lock().visible.len()
+        self.visible.lock().len()
     }
 
-    /// Number of in-flight (received, undeleted) messages.
-    pub fn in_flight_len(&self) -> usize {
-        self.inner.lock().in_flight.len()
-    }
-
-    /// One `ReceiveMessage` call. Advances `clock` by the poll round trip
-    /// (plus the wait `W` when a long poll comes back empty) and joins the
-    /// clock against the returned messages' availability stamps.
-    pub fn poll(&self, clock: &mut VClock, kind: PollKind) -> Vec<ReceivedMessage> {
-        let mut inner = self.inner.lock();
-        if inner.visible.is_empty() {
-            if let PollKind::Long { .. } = kind {
-                // Block briefly in real time so producer threads can run;
-                // virtual cost is accounted below regardless.
-                self.cond.wait_for(&mut inner, REAL_WAIT);
-            }
-        }
-        let mut out = Vec::new();
-        let mut taken_bytes = 0usize;
-        let mut kept: VecDeque<QueuedMessage> = VecDeque::new();
-        while let Some(qm) = inner.visible.pop_front() {
-            if out.len() == quota::MAX_BATCH_MESSAGES {
-                kept.push_back(qm);
-                continue;
-            }
-            let seen = match kind {
-                PollKind::Long { .. } => true,
-                // Deterministic subset-of-servers sampling.
-                PollKind::Short => self.jitter.unit() < SHORT_POLL_VISIBILITY,
-            };
-            if seen {
-                let handle = self.next_handle.fetch_add(1, Ordering::Relaxed);
-                taken_bytes += qm.message.len();
-                inner.in_flight.insert(
-                    handle,
-                    QueuedMessage {
-                        available_at: qm.available_at,
-                        message: qm.message.clone(),
-                    },
-                );
-                out.push(ReceivedMessage {
-                    handle,
-                    available_at: qm.available_at,
-                    message: qm.message,
-                });
-            } else {
-                kept.push_back(qm);
-            }
-        }
-        inner.visible = kept;
-        drop(inner);
-
-        self.meter
-            .record_sqs_call(clock.flow(), out.len() as u64, out.is_empty());
-        clock.advance_micros(
-            self.jitter
-                .apply(self.latency.sqs_poll_total_us(taken_bytes)),
-        );
-        if out.is_empty() {
-            if let PollKind::Long { wait_secs } = kind {
-                clock.advance_micros(VirtualTime::from_secs_f64(wait_secs).as_micros());
-            }
-        } else {
-            let latest = out
-                .iter()
-                .map(|m| m.available_at)
-                .max()
-                .expect("non-empty poll result");
-            clock.observe(latest);
-        }
-        out
-    }
-
-    /// The FSI receive primitive: blocks (briefly, in real time) until
-    /// messages are visible, then returns up to 10 — billing the number of
-    /// long-poll rounds the consumer *would* have issued while waiting in
-    /// virtual time: `max(1, ceil(virtual_gap / W))` calls, where
-    /// `virtual_gap` is how far ahead of the consumer's clock the earliest
-    /// returned message was stamped. This decouples the billed call count
-    /// `Q` from real-thread scheduling, keeping the cost model reproducible.
-    ///
-    /// Returns empty only when no producer showed up within the real-time
-    /// grace period — in that case one empty long poll is billed and the
-    /// clock advances by the full wait `W` (exactly AWS semantics), letting
-    /// the caller re-check its timeout budget.
-    pub fn receive_wait(&self, clock: &mut VClock, wait_secs: f64) -> (Vec<ReceivedMessage>, u64) {
-        let wait_us = VirtualTime::from_secs_f64(wait_secs).as_micros().max(1);
-        let mut inner = self.inner.lock();
-        if inner.visible.is_empty() {
-            // Real-time grace for producer threads; not billed by itself.
-            let deadline = std::time::Instant::now() + REAL_WAIT_LONG;
-            while inner.visible.is_empty() {
-                let timeout = deadline.saturating_duration_since(std::time::Instant::now());
-                if timeout.is_zero() {
-                    break;
-                }
-                self.cond.wait_for(&mut inner, timeout);
-            }
-        }
-        if inner.visible.is_empty() {
-            drop(inner);
-            self.meter.record_sqs_call(clock.flow(), 0, true);
-            clock.advance_micros(self.jitter.apply(self.latency.sqs_poll_us));
-            clock.advance_micros(wait_us);
-            return (Vec::new(), 1);
-        }
-        let mut out = Vec::new();
-        let mut taken_bytes = 0usize;
-        while out.len() < quota::MAX_BATCH_MESSAGES {
-            let Some(qm) = inner.visible.pop_front() else {
-                break;
-            };
-            let handle = self.next_handle.fetch_add(1, Ordering::Relaxed);
-            taken_bytes += qm.message.len();
-            inner.in_flight.insert(
-                handle,
-                QueuedMessage {
-                    available_at: qm.available_at,
-                    message: qm.message.clone(),
-                },
-            );
-            out.push(ReceivedMessage {
-                handle,
-                available_at: qm.available_at,
-                message: qm.message,
-            });
-        }
-        drop(inner);
-        // Bill the virtual long-poll rounds spent waiting for the earliest
-        // returned message, then the round that returned data.
-        let earliest = out.iter().map(|m| m.available_at).min().expect("non-empty");
-        let gap = earliest.as_micros().saturating_sub(clock.now().as_micros());
-        let rounds = 1 + gap / wait_us;
-        for _ in 0..rounds - 1 {
-            self.meter.record_sqs_call(clock.flow(), 0, true);
-        }
-        self.meter
-            .record_sqs_call(clock.flow(), out.len() as u64, false);
-        clock.advance_micros(
-            self.jitter
-                .apply(self.latency.sqs_poll_total_us(taken_bytes)),
-        );
-        let latest = out.iter().map(|m| m.available_at).max().expect("non-empty");
-        clock.observe(latest);
-        (out, rounds)
-    }
-
-    /// Raw destructive take for the deterministic channel receive path:
-    /// blocks briefly in *real* time for producers, then removes and
-    /// returns up to `max` visible messages — **no billing, no clock
-    /// movement**. The caller later reconstructs the billed long-poll
-    /// sequence from the returned availability stamps with
-    /// [`SqsQueue::settle_receives`], which is what decouples billing and
-    /// timing from real-thread batching entirely.
-    pub fn take_visible(&self, max: usize) -> Vec<ReceivedMessage> {
-        let mut inner = self.inner.lock();
-        if inner.visible.is_empty() {
-            let deadline = std::time::Instant::now() + REAL_WAIT_LONG;
-            while inner.visible.is_empty() {
-                let timeout = deadline.saturating_duration_since(std::time::Instant::now());
-                if timeout.is_zero() {
-                    break;
-                }
-                self.cond.wait_for(&mut inner, timeout);
-            }
-        }
-        let mut out = Vec::new();
-        while out.len() < max {
-            let Some(qm) = inner.visible.pop_front() else {
-                break;
-            };
-            let handle = self.next_handle.fetch_add(1, Ordering::Relaxed);
-            out.push(ReceivedMessage {
-                handle,
-                available_at: qm.available_at,
-                message: qm.message,
-            });
-        }
-        out
+    /// Raw destructive take for the deterministic receive path: waits (at
+    /// most the mailbox's real-time grace) for a visible message, then
+    /// removes and returns up to `max` of them in FIFO order — **no
+    /// billing, no clock movement**. The caller later reconstructs the
+    /// billed long-poll sequence from the returned availability stamps
+    /// with [`SqsQueue::settle_receives`].
+    pub fn take_visible(&self, max: usize) -> Vec<QueuedMessage> {
+        let mut visible = self.visible.wait(|visible| !visible.is_empty());
+        let n = max.min(visible.len());
+        visible.drain(..n).collect()
     }
 
     /// Bills one empty long poll (timeout after the full wait `W`) —
@@ -404,39 +200,9 @@ impl SqsQueue {
         calls
     }
 
-    /// One `DeleteMessageBatch` call for up to 10 receipt handles.
-    pub fn delete_batch(&self, clock: &mut VClock, handles: &[u64]) {
-        assert!(
-            handles.len() <= quota::MAX_BATCH_MESSAGES,
-            "delete batch too large"
-        );
-        let mut inner = self.inner.lock();
-        for h in handles {
-            inner.in_flight.remove(h);
-        }
-        drop(inner);
-        self.meter.record_sqs_call(clock.flow(), 0, false);
-        clock.advance_micros(self.jitter.apply(self.latency.sqs_delete_us));
-    }
-
-    /// Failure injection: every in-flight message's visibility timeout
-    /// "expires" and it returns to the queue (as after a consumer crash).
-    pub fn requeue_in_flight(&self) {
-        let mut inner = self.inner.lock();
-        let handles: Vec<u64> = inner.in_flight.keys().copied().collect();
-        for h in handles {
-            let qm = inner.in_flight.remove(&h).expect("handle just listed");
-            inner.visible.push_back(qm);
-        }
-        drop(inner);
-        self.cond.notify_all();
-    }
-
     /// Drops all queue state (between benchmark repetitions).
     pub fn purge(&self) {
-        let mut inner = self.inner.lock();
-        inner.visible.clear();
-        inner.in_flight.clear();
+        self.visible.lock().clear();
     }
 }
 
@@ -470,187 +236,96 @@ mod tests {
     }
 
     #[test]
-    fn poll_returns_enqueued_messages_and_advances_clock() {
-        let q = queue();
-        q.enqueue(VirtualTime::from_micros(500), msg(1, b"hello"));
-        let mut clock = VClock::default();
-        let got = q.poll(&mut clock, PollKind::Long { wait_secs: 1.0 });
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].message.body, b"hello");
-        // Clock advanced by poll RTT and joined to the availability stamp.
-        assert!(clock.now().as_micros() >= 8_000);
-    }
-
-    #[test]
-    fn poll_joins_clock_to_future_message_stamp() {
-        let q = queue();
-        q.enqueue(VirtualTime::from_secs_f64(5.0), msg(1, b"late"));
-        let mut clock = VClock::default();
-        q.poll(&mut clock, PollKind::Long { wait_secs: 2.0 });
-        assert!(
-            clock.now() >= VirtualTime::from_secs_f64(5.0),
-            "clock not pulled forward"
-        );
-    }
-
-    #[test]
-    fn empty_long_poll_costs_the_wait() {
-        let q = queue();
-        let mut clock = VClock::default();
-        let got = q.poll(&mut clock, PollKind::Long { wait_secs: 3.0 });
-        assert!(got.is_empty());
-        assert!(clock.now() >= VirtualTime::from_secs_f64(3.0));
-    }
-
-    #[test]
-    fn empty_short_poll_returns_immediately() {
-        let q = queue();
-        let mut clock = VClock::default();
-        let got = q.poll(&mut clock, PollKind::Short);
-        assert!(got.is_empty());
-        assert!(clock.now() < VirtualTime::from_secs_f64(0.5));
-    }
-
-    #[test]
-    fn poll_caps_at_ten_messages() {
+    fn take_visible_caps_at_max_in_fifo_order() {
         let q = queue();
         for i in 0..25 {
-            q.enqueue(VirtualTime::ZERO, msg(i, b"x"));
+            q.enqueue(VirtualTime::from_micros(u64::from(i)), msg(i, b"x"));
         }
-        let mut clock = VClock::default();
-        let got = q.poll(&mut clock, PollKind::Long { wait_secs: 1.0 });
-        assert_eq!(got.len(), 10);
+        let got = q.take_visible(quota::MAX_BATCH_MESSAGES);
+        let sources: Vec<u32> = got.iter().map(|m| m.message.attributes.source).collect();
+        assert_eq!(sources, (0..10).collect::<Vec<_>>());
+        assert_eq!(got[3].available_at, VirtualTime::from_micros(3));
         assert_eq!(q.visible_len(), 15);
-        assert_eq!(q.in_flight_len(), 10);
-    }
-
-    #[test]
-    fn delete_batch_removes_in_flight() {
-        let q = queue();
-        for i in 0..5 {
-            q.enqueue(VirtualTime::ZERO, msg(i, b"x"));
-        }
-        let mut clock = VClock::default();
-        let got = q.poll(&mut clock, PollKind::Long { wait_secs: 1.0 });
-        let handles: Vec<u64> = got.iter().map(|m| m.handle).collect();
-        q.delete_batch(&mut clock, &handles);
-        assert_eq!(q.in_flight_len(), 0);
+        let rest = q.take_visible(100);
+        assert_eq!(rest.len(), 15);
+        assert_eq!(rest[0].message.attributes.source, 10);
         assert_eq!(q.visible_len(), 0);
+        // Taking is free: nothing billed.
+        assert_eq!(q.meter.snapshot().sqs_api_calls, 0);
     }
 
     #[test]
-    fn requeue_in_flight_redelivers() {
+    fn take_visible_on_an_empty_queue_returns_nothing_after_the_grace() {
         let q = queue();
-        q.enqueue(VirtualTime::ZERO, msg(1, b"again"));
-        let mut clock = VClock::default();
-        let got = q.poll(&mut clock, PollKind::Long { wait_secs: 1.0 });
-        assert_eq!(got.len(), 1);
-        q.requeue_in_flight();
-        let got2 = q.poll(&mut clock, PollKind::Long { wait_secs: 1.0 });
-        assert_eq!(got2.len(), 1);
-        assert_eq!(got2[0].message.body, b"again");
-        // A fresh receipt handle is issued on redelivery.
-        assert_ne!(got[0].handle, got2[0].handle);
+        assert!(q.take_visible(10).is_empty());
     }
 
     #[test]
-    fn meter_counts_polls_and_empties() {
-        let meter = Arc::new(ServiceMeter::new());
-        let q = SqsQueue::new(
-            "q".into(),
-            meter.clone(),
-            LatencyModel::deterministic(),
-            Arc::new(Jitter::new(1, 0.0)),
-            Arc::new(FaultPlane::disabled()),
-        );
-        let mut clock = VClock::default();
-        q.poll(&mut clock, PollKind::Long { wait_secs: 0.1 });
-        q.enqueue(VirtualTime::ZERO, msg(0, b"x"));
-        let got = q.poll(&mut clock, PollKind::Long { wait_secs: 0.1 });
-        q.delete_batch(&mut clock, &[got[0].handle]);
-        let s = meter.snapshot();
-        assert_eq!(s.sqs_api_calls, 3);
-        assert_eq!(s.sqs_empty_polls, 1);
-        assert_eq!(s.sqs_messages, 1);
-    }
-
-    #[test]
-    fn blocked_long_poll_wakes_on_enqueue() {
+    fn blocked_take_wakes_on_enqueue() {
         let q = Arc::new(queue());
-        let q2 = q.clone();
-        let t = std::thread::spawn(move || {
-            let mut clock = VClock::default();
-            // Poll until the message arrives (bounded by the test harness).
-            for _ in 0..10_000 {
-                let got = q2.poll(&mut clock, PollKind::Long { wait_secs: 0.5 });
-                if !got.is_empty() {
-                    return got[0].message.body.clone();
+        let taker = {
+            let q = q.clone();
+            std::thread::spawn(move || {
+                // Bounded: each take waits at most the grace.
+                for _ in 0..10_000 {
+                    let got = q.take_visible(10);
+                    if !got.is_empty() {
+                        return got[0].message.body.clone();
+                    }
                 }
-            }
-            Vec::new()
-        });
-        std::thread::sleep(Duration::from_millis(5));
+                Vec::new()
+            })
+        };
         q.enqueue(VirtualTime::from_micros(10), msg(3, b"wake"));
-        assert_eq!(t.join().expect("join"), b"wake");
+        assert_eq!(taker.join().expect("join"), b"wake");
     }
 
     #[test]
-    fn receive_wait_bills_virtual_rounds_for_future_stamps() {
-        let meter = Arc::new(ServiceMeter::new());
-        let q = SqsQueue::new(
-            "q".into(),
-            meter.clone(),
-            LatencyModel::deterministic(),
-            Arc::new(Jitter::new(1, 0.0)),
-            Arc::new(FaultPlane::disabled()),
-        );
-        // Message stamped 5s into the consumer's future; W = 2s → consumer
-        // would have issued 2 empty polls + 1 successful one.
-        q.enqueue(VirtualTime::from_secs_f64(5.0), msg(1, b"later"));
+    fn settle_receives_bills_empty_rounds_for_future_stamps() {
+        let q = queue();
+        // Message stamped 5s into the consumer's future; W = 2s → the
+        // consumer would have issued 2 empty polls, 1 productive receive
+        // and 1 delete.
         let mut clock = VClock::default();
-        let (got, rounds) = q.receive_wait(&mut clock, 2.0);
-        assert_eq!(got.len(), 1);
-        assert_eq!(rounds, 3);
-        let s = meter.snapshot();
-        assert_eq!(s.sqs_api_calls, 3, "expected 2 empty rounds + 1 delivery");
+        let calls = q.settle_receives(&mut clock, 2.0, &[(VirtualTime::from_secs_f64(5.0), 5)]);
+        assert_eq!(calls, 4);
+        let s = q.meter.snapshot();
+        assert_eq!(s.sqs_api_calls, 4);
         assert_eq!(s.sqs_empty_polls, 2);
+        assert_eq!(s.sqs_messages, 1);
         assert!(clock.now() >= VirtualTime::from_secs_f64(5.0));
     }
 
     #[test]
-    fn receive_wait_single_round_for_ready_messages() {
-        let meter = Arc::new(ServiceMeter::new());
-        let q = SqsQueue::new(
-            "q".into(),
-            meter.clone(),
-            LatencyModel::deterministic(),
-            Arc::new(Jitter::new(1, 0.0)),
-            Arc::new(FaultPlane::disabled()),
-        );
-        q.enqueue(VirtualTime::ZERO, msg(1, b"now"));
+    fn settle_receives_single_round_for_ready_stamps() {
+        let q = queue();
         let mut clock = VClock::starting_at(VirtualTime::from_secs_f64(1.0));
-        let (got, rounds) = q.receive_wait(&mut clock, 2.0);
-        assert_eq!(got.len(), 1);
-        assert_eq!(rounds, 1);
-        assert_eq!(meter.snapshot().sqs_api_calls, 1);
+        let calls = q.settle_receives(&mut clock, 2.0, &[(VirtualTime::ZERO, 3)]);
+        assert_eq!(calls, 2, "one receive + one delete");
+        let s = q.meter.snapshot();
+        assert_eq!(s.sqs_api_calls, 2);
+        assert_eq!(s.sqs_empty_polls, 0);
+        assert_eq!(s.sqs_messages, 1);
     }
 
     #[test]
-    fn receive_wait_empty_bills_one_and_advances_w() {
-        let meter = Arc::new(ServiceMeter::new());
-        let q = SqsQueue::new(
-            "q".into(),
-            meter.clone(),
-            LatencyModel::deterministic(),
-            Arc::new(Jitter::new(1, 0.0)),
-            Arc::new(FaultPlane::disabled()),
-        );
+    fn settle_receives_batches_at_most_ten_per_round() {
+        let q = queue();
+        let mut clock = VClock::starting_at(VirtualTime::from_secs_f64(1.0));
+        let taken = vec![(VirtualTime::ZERO, 1); 25];
+        // 3 productive receives (10 + 10 + 5), each followed by a delete.
+        assert_eq!(q.settle_receives(&mut clock, 2.0, &taken), 6);
+        assert_eq!(q.meter.snapshot().sqs_messages, 25);
+    }
+
+    #[test]
+    fn empty_poll_bills_one_and_advances_w() {
+        let q = queue();
         let mut clock = VClock::default();
-        let (got, rounds) = q.receive_wait(&mut clock, 2.0);
-        assert!(got.is_empty());
-        assert_eq!(rounds, 1);
-        assert_eq!(meter.snapshot().sqs_api_calls, 1);
-        assert_eq!(meter.snapshot().sqs_empty_polls, 1);
+        q.empty_poll(&mut clock, 2.0);
+        let s = q.meter.snapshot();
+        assert_eq!(s.sqs_api_calls, 1);
+        assert_eq!(s.sqs_empty_polls, 1);
         assert!(clock.now() >= VirtualTime::from_secs_f64(2.0));
     }
 
@@ -658,11 +333,8 @@ mod tests {
     fn purge_clears_everything() {
         let q = queue();
         q.enqueue(VirtualTime::ZERO, msg(0, b"x"));
-        let mut clock = VClock::default();
-        q.poll(&mut clock, PollKind::Long { wait_secs: 0.1 });
         q.enqueue(VirtualTime::ZERO, msg(1, b"y"));
         q.purge();
         assert_eq!(q.visible_len(), 0);
-        assert_eq!(q.in_flight_len(), 0);
     }
 }

@@ -13,11 +13,13 @@
 //! sender's virtual clock after the transfer (so forwarded bytes are
 //! billed — as [`crate::meter::MeterSnapshot::weight_bytes`] — to the
 //! *forwarding* flow's lane, and chaos replays stay bit-identical under
-//! any thread interleaving), and the receive path is a free
-//! real-time-grace [`WeightNet::fetch`] whose timing is settled later by
-//! observing the per-frame stamps — which is exactly what makes λScale's
-//! execute-while-load expressible: a worker's clock only waits for the
-//! layers it actually touches.
+//! any thread interleaving), and the receive path is the crate's single
+//! raw-take-then-settle model: a free [`WeightNet::fetch`] returns the
+//! frames past what the receiver already holds (waiting at most the
+//! mailbox's real-time grace for new ones), and timing is settled later
+//! by observing the per-frame stamps — which is exactly what makes
+//! λScale's execute-while-load expressible: a worker's clock only waits
+//! for the layers it actually touches.
 //!
 //! Frames are addressed hop-by-hop: a mailbox is keyed `(flow, hop)` and
 //! each frame names its final destination rank, so an interior worker of
@@ -29,17 +31,12 @@
 
 use crate::fault::{ApiClass, FaultPlane};
 use crate::latency::{Jitter, LatencyModel};
+use crate::mailbox::Mailbox;
 use crate::message::CommError;
 use crate::meter::ServiceMeter;
 use crate::time::{VClock, VirtualTime};
-use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
-
-/// Real-time grace used by [`WeightNet::fetch`] before returning whatever
-/// has arrived so far (virtual timing never depends on this).
-const REAL_WAIT_LONG: Duration = Duration::from_millis(150);
 
 /// Payload of one weight-stream frame.
 #[derive(Clone)]
@@ -75,8 +72,7 @@ pub struct WeightFrame {
 /// The weight-multicast fabric of one region: per-`(flow, hop)` mailboxes
 /// of in-flight weight frames.
 pub struct WeightNet {
-    mailboxes: Mutex<HashMap<(u64, usize), Vec<WeightFrame>>>,
-    cond: Condvar,
+    mailboxes: Mailbox<HashMap<(u64, usize), Vec<WeightFrame>>>,
     meter: Arc<ServiceMeter>,
     latency: LatencyModel,
     jitter: Arc<Jitter>,
@@ -91,8 +87,7 @@ impl WeightNet {
         faults: Arc<FaultPlane>,
     ) -> WeightNet {
         WeightNet {
-            mailboxes: Mutex::new(HashMap::new()),
-            cond: Condvar::new(),
+            mailboxes: Mailbox::new(HashMap::new()),
             meter,
             latency,
             jitter,
@@ -102,11 +97,7 @@ impl WeightNet {
 
     fn push(&self, flow: u64, hop: usize, frame: WeightFrame) {
         self.mailboxes
-            .lock()
-            .entry((flow, hop))
-            .or_default()
-            .push(frame);
-        self.cond.notify_all();
+            .update(|m| m.entry((flow, hop)).or_default().push(frame));
     }
 
     /// Sends one weight block to `hop`, addressed to `dst`, on the
@@ -178,60 +169,47 @@ impl WeightNet {
         );
     }
 
-    /// Raw mailbox read for the deterministic receive path: blocks
-    /// briefly in *real* time while no more than `known` frames sit under
-    /// `(flow, hop)`, then returns every frame — no clock movement. The
-    /// receiver settles timing lazily by observing frame stamps as the
-    /// blocks are actually decoded (execute-while-load).
+    /// Raw mailbox read for the deterministic receive path. Mailboxes are
+    /// append-only, so the receiver names how many frames it already
+    /// holds under `(flow, hop)`; this waits (at most the mailbox's
+    /// real-time grace) for more than `known`, then returns the frames
+    /// past `known` — no clock movement. The receiver settles timing
+    /// lazily by observing frame stamps as the blocks are actually
+    /// decoded (execute-while-load).
     pub fn fetch(&self, flow: u64, hop: usize, known: usize) -> Vec<WeightFrame> {
         let key = (flow, hop);
-        let mut state = self.mailboxes.lock();
-        let grab =
-            |s: &HashMap<(u64, usize), Vec<WeightFrame>>| s.get(&key).cloned().unwrap_or_default();
-        let mut found = grab(&state);
-        if found.len() <= known {
-            let deadline = std::time::Instant::now() + REAL_WAIT_LONG;
-            while found.len() <= known {
-                let timeout = deadline.saturating_duration_since(std::time::Instant::now());
-                if timeout.is_zero() {
-                    break;
-                }
-                self.cond.wait_for(&mut state, timeout);
-                found = grab(&state);
-            }
-        }
-        found
+        let mailboxes = self
+            .mailboxes
+            .wait(|m| m.get(&key).map_or(0, Vec::len) > known);
+        mailboxes
+            .get(&key)
+            .and_then(|frames| frames.get(known..))
+            .map_or_else(Vec::new, <[WeightFrame]>::to_vec)
     }
 
     /// Tears down one hop's mailbox (the receiver calls this once its
     /// stream has ended — each hop has exactly one receiver, so a drained
     /// mailbox is dead weight). Returns the number of frames dropped.
     pub fn close_hop(&self, flow: u64, hop: usize) -> usize {
-        let frames = self
-            .mailboxes
-            .lock()
-            .remove(&(flow, hop))
-            .map_or(0, |v| v.len());
-        self.cond.notify_all();
-        frames
+        self.mailboxes
+            .update(|m| m.remove(&(flow, hop)).map_or(0, |v| v.len()))
     }
 
     /// Tears down every mailbox the flow holds. Returns the number of
     /// frames dropped.
     pub fn close_flow(&self, flow: u64) -> usize {
-        let mut state = self.mailboxes.lock();
-        let mut frames = 0usize;
-        state.retain(|&(f, _), v| {
-            if f == flow {
-                frames += v.len();
-                false
-            } else {
-                true
-            }
-        });
-        drop(state);
-        self.cond.notify_all();
-        frames
+        self.mailboxes.update(|m| {
+            let mut frames = 0usize;
+            m.retain(|&(f, _), v| {
+                if f == flow {
+                    frames += v.len();
+                    false
+                } else {
+                    true
+                }
+            });
+            frames
+        })
     }
 
     /// Undrained frames across all flows (residue audit).
@@ -242,8 +220,7 @@ impl WeightNet {
     /// Drops every mailbox (between benchmark repetitions; never while a
     /// launch is in flight).
     pub fn reset(&self) {
-        self.mailboxes.lock().clear();
-        self.cond.notify_all();
+        self.mailboxes.update(HashMap::clear);
     }
 }
 
@@ -305,10 +282,11 @@ mod tests {
         let snap = n.meter.snapshot();
         assert_eq!(snap.weight_frames, 2);
         assert_eq!(snap.weight_bytes, 0);
-        let frames = n.fetch(2, 5, 1);
+        let frames = n.fetch(2, 5, 0);
         assert_eq!(frames.len(), 2);
         assert!(matches!(frames[0].payload, WeightPayload::End));
         assert!(matches!(frames[1].payload, WeightPayload::Abort));
+        assert_eq!(n.fetch(2, 5, 1).len(), 1, "only frames past `known`");
         assert_eq!(frames[0].dst, 5, "control frames address the hop itself");
     }
 
@@ -338,14 +316,15 @@ mod tests {
     }
 
     #[test]
-    fn fetch_honors_known_and_isolates_hops() {
+    fn fetch_returns_frames_past_known_and_isolates_hops() {
         let n = net();
         let mut clock = VClock::default().with_flow(4);
         n.send_block(&mut clock, 1, 1, "a", Arc::from(&b"a"[..]))
             .expect("send");
         n.send_block(&mut clock, 1, 1, "b", Arc::from(&b"b"[..]))
             .expect("send");
-        assert_eq!(n.fetch(4, 1, 2).len(), 2);
+        assert_eq!(n.fetch(4, 1, 0).len(), 2);
+        assert!(n.fetch(4, 1, 2).is_empty());
         assert!(n.fetch(4, 2, 0).is_empty());
         assert!(n.fetch(5, 1, 0).is_empty());
         n.meter.release_flow(4);

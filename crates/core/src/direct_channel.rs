@@ -181,11 +181,11 @@ impl FsiChannel for DirectChannel {
                 .fetch(self.flow, me as usize, &tag_key, known);
             let mut inboxes = self.inboxes.lock();
             let inbox = inboxes.entry((me, want)).or_default();
-            let mut surfaced_new = false;
-            // Mailboxes are append-only: everything past `known` is new.
-            for frame in found.into_iter().skip(inbox.known) {
-                inbox.known += 1;
-                surfaced_new = true;
+            // Mailboxes are append-only: `fetch` returns only the frames
+            // past `known`, so everything here is new.
+            let surfaced_new = !found.is_empty();
+            inbox.known += found.len();
+            for frame in found {
                 let src = frame.src as u32;
                 if !tracker.is_pending(src) {
                     continue;

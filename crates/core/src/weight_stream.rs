@@ -284,12 +284,11 @@ fn drain_stream(
         // A poisoned launch (peer death, coordinator teardown) must
         // unwedge this loop — the source may never send another frame.
         ctx.check_limits()?;
-        let frames = net.fetch(flow, rank as usize, known);
-        if frames.len() <= known {
+        let fresh = net.fetch(flow, rank as usize, known);
+        if fresh.is_empty() {
             continue; // real-time grace expired; re-check limits and wait on
         }
-        let fresh = frames[known..].to_vec();
-        known = frames.len();
+        known += fresh.len();
         for frame in fresh {
             match frame.payload {
                 WeightPayload::Block { key, body } => {

@@ -70,26 +70,28 @@ proptest! {
         for (i, b) in bodies.iter().enumerate() {
             q.enqueue(VirtualTime::from_micros(i as u64), msg(i as u32, 0, b.clone()));
         }
-        let mut clock = VClock::default();
-        let mut got: Vec<(u32, Vec<u8>)> = Vec::new();
+        let mut got: Vec<(VirtualTime, u32, Vec<u8>)> = Vec::new();
         while got.len() < bodies.len() {
-            let (msgs, _) = q.receive_wait(&mut clock, 1.0);
+            let msgs = q.take_visible(quota::MAX_BATCH_MESSAGES);
             prop_assert!(!msgs.is_empty(), "queue lost messages");
             prop_assert!(msgs.len() <= quota::MAX_BATCH_MESSAGES);
-            let handles: Vec<u64> = msgs.iter().map(|m| m.handle).collect();
             for m in msgs {
-                got.push((m.message.attributes.source, m.message.body));
+                got.push((m.available_at, m.message.attributes.source, m.message.body));
             }
-            q.delete_batch(&mut clock, &handles);
         }
-        // Exactly once, order preserved (single consumer, FIFO).
+        // Exactly once, order and stamps preserved (single consumer, FIFO).
         prop_assert_eq!(got.len(), bodies.len());
-        for (i, (src, body)) in got.iter().enumerate() {
+        for (i, (stamp, src, body)) in got.iter().enumerate() {
+            prop_assert_eq!(*stamp, VirtualTime::from_micros(i as u64));
             prop_assert_eq!(*src, i as u32);
             prop_assert_eq!(body, &bodies[i]);
         }
         prop_assert_eq!(q.visible_len(), 0);
-        prop_assert_eq!(q.in_flight_len(), 0);
+        // Settling the taken stamps bills every message exactly once.
+        let taken: Vec<(VirtualTime, usize)> =
+            got.iter().map(|(stamp, _, body)| (*stamp, body.len())).collect();
+        q.settle_receives(&mut VClock::default(), 1.0, &taken);
+        prop_assert_eq!(env.snapshot().sqs_messages, bodies.len() as u64);
     }
 
     #[test]

@@ -1,10 +1,9 @@
-//! Failure injection and robustness: straggler redelivery, jittered
-//! (non-deterministic-latency) regions, degraded polling, and corrupted
-//! payload handling. Correctness must never depend on fair-weather timing.
+//! Failure injection and robustness: jittered (non-deterministic-latency)
+//! regions, slow channels, cold-start skew, injected API faults, and
+//! corrupted payload handling. Correctness must never depend on
+//! fair-weather timing.
 
-use fsd_inference::comm::{
-    CloudConfig, CloudEnv, LatencyModel, Message, MessageAttributes, PollKind, VClock, VirtualTime,
-};
+use fsd_inference::comm::{CloudConfig, LatencyModel, VirtualTime};
 use fsd_inference::core::{InferenceRequest, ServiceBuilder, Variant};
 use fsd_inference::model::{generate_dnn, generate_inputs, DnnSpec, InputSpec};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -13,70 +12,6 @@ static ENGINE_LOCK: Mutex<()> = Mutex::new(());
 
 fn engine_guard() -> MutexGuard<'static, ()> {
     ENGINE_LOCK.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-fn msg(source: u32, body: &[u8]) -> Message {
-    Message {
-        attributes: MessageAttributes {
-            flow: 0,
-            source,
-            target: 0,
-            layer: 0,
-            total_chunks: 1,
-            batch: 0,
-        },
-        body: body.to_vec(),
-    }
-}
-
-#[test]
-fn visibility_timeout_redelivers_undeleted_messages() {
-    // A consumer crash after receive (before delete) must not lose data:
-    // the visibility timeout expires and the message is redelivered.
-    let env = CloudEnv::new(CloudConfig::deterministic(1));
-    let q = env.queue("crash-test");
-    q.enqueue(VirtualTime::ZERO, msg(1, b"precious"));
-    let mut clock = VClock::default();
-    let (got, _) = q.receive_wait(&mut clock, 1.0);
-    assert_eq!(got.len(), 1);
-    // Consumer "crashes" here — no delete. Expiry returns it to the queue.
-    q.requeue_in_flight();
-    let (again, _) = q.receive_wait(&mut clock, 1.0);
-    assert_eq!(again.len(), 1);
-    assert_eq!(again[0].message.body, b"precious");
-    assert_ne!(
-        again[0].handle, got[0].handle,
-        "redelivery issues a fresh handle"
-    );
-}
-
-#[test]
-fn short_polling_eventually_drains_but_wastes_calls() {
-    // The paper's finding: short polling misses visible messages (subset of
-    // servers) and therefore needs more calls for the same work.
-    let env = CloudEnv::new(CloudConfig::deterministic(2));
-    let q = env.queue("short-poll");
-    for i in 0..30 {
-        q.enqueue(VirtualTime::ZERO, msg(i, b"x"));
-    }
-    let mut clock = VClock::default();
-    let mut received = 0;
-    let mut calls = 0;
-    while received < 30 {
-        let got = q.poll(&mut clock, PollKind::Short);
-        calls += 1;
-        received += got.len();
-        let handles: Vec<u64> = got.iter().map(|m| m.handle).collect();
-        if !handles.is_empty() {
-            q.delete_batch(&mut clock, &handles);
-        }
-        assert!(calls < 1000, "short polling never drained the queue");
-    }
-    // Long polling would need ceil(30/10) = 3 receive calls.
-    assert!(
-        calls > 3,
-        "short polling should be strictly less efficient, used {calls} calls"
-    );
 }
 
 #[test]
