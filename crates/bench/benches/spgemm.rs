@@ -31,25 +31,34 @@ fn bench_spgemm(c: &mut Criterion) {
     g.finish();
 }
 
+/// `finalize` (bias, ReLU, clip and the sparse emit) on one accumulated
+/// layer: a bulk-queue rank's share (512 of 4096 rows, width 128) and a
+/// whole 2048-row layer at width 64.
 fn bench_finalize(c: &mut Criterion) {
-    let n = 2048usize;
-    let spec = DnnSpec {
-        neurons: n,
-        layers: 1,
-        nnz_per_row: 8,
-        bias: -0.3,
-        clip: 32.0,
-        seed: 1,
-    };
-    let dnn = generate_dnn(&spec);
-    let inputs = generate_inputs(n, &InputSpec::scaled(64, 1));
-    let all: Vec<u32> = (0..n as u32).collect();
-    let block = ColMajorBlock::from_layer(dnn.layer(0), &all);
-    let mut acc = LayerAccumulator::new(n, 64);
-    acc.accumulate(&block, &inputs);
-    c.bench_function("relu_bias_clip_finalize", |b| {
-        b.iter(|| acc.finalize(&all, -0.3, 32.0))
-    });
+    let mut g = c.benchmark_group("finalize");
+    for &(n, rows, width) in &[(4096usize, 512usize, 128usize), (2048, 2048, 64)] {
+        let spec = DnnSpec {
+            neurons: n,
+            layers: 1,
+            nnz_per_row: 8,
+            bias: -0.3,
+            clip: 32.0,
+            seed: 1,
+        };
+        let dnn = generate_dnn(&spec);
+        let inputs = generate_inputs(n, &InputSpec::scaled(width, 1));
+        let owned: Vec<u32> = (0..rows as u32).collect();
+        let block = ColMajorBlock::from_layer(dnn.layer(0), &owned);
+        let mut acc = LayerAccumulator::new(rows, width);
+        acc.accumulate(&block, &inputs);
+        g.throughput(Throughput::Elements((rows * width) as u64));
+        g.bench_with_input(
+            BenchmarkId::new(format!("{rows}x{width}"), n),
+            &n,
+            |b, _| b.iter(|| acc.finalize(&owned, -0.3, 32.0)),
+        );
+    }
+    g.finish();
 }
 
 criterion_group!(benches, bench_spgemm, bench_finalize);

@@ -251,11 +251,8 @@ pub fn reduce(
     if me == 0 {
         let mut tracker = RecvTracker::expecting(1..n_workers);
         let blocks = channel.receive_all(ctx, Tag::Reduce(batch), 0, &mut tracker)?;
-        let mut out = mine;
-        for (_, block) in blocks {
-            out.merge(&block);
-        }
-        Ok(Some(out))
+        let parts = std::iter::once(&mine).chain(blocks.iter().map(|(_, b)| b));
+        Ok(Some(SparseRows::merge_all(mine.width(), parts)))
     } else {
         channel.send_layer(ctx, Tag::Reduce(batch), me, &[(0, mine)])?;
         Ok(None)

@@ -87,8 +87,11 @@ pub(crate) fn run_batches(
             work_done += local_work;
 
             // Receive until every expected source delivered, charging each
-            // block's accumulate work as it arrives (still overlapped).
+            // block's accumulate work as it arrives (still overlapped). The
+            // blocks join `x` in one k-way merge once the layer's inputs
+            // are all in.
             let mut tracker = RecvTracker::expecting(art.recv[k].iter().map(|(s, _)| *s));
+            let mut received: Vec<SparseRows> = Vec::new();
             while !tracker.done() {
                 ctx.check_limits()?;
                 let blocks = channel.receive_round(ctx, tag, rank, &mut tracker)?;
@@ -97,9 +100,13 @@ pub(crate) fn run_batches(
                     ctx.charge_work(w);
                     work_done += w;
                     ctx.track_alloc(block.mem_bytes());
-                    x.merge(&block);
+                    received.push(block);
                 }
             }
+            if !received.is_empty() {
+                x = SparseRows::merge_all(x.width(), std::iter::once(&x).chain(&received));
+            }
+            drop(received);
 
             // One deterministic accumulation over all inputs (work already
             // charged above), then the activation x^k = f(z^k).

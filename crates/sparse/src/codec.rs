@@ -98,6 +98,11 @@ pub fn decode(buf: &[u8]) -> Result<SparseRows, CodecError> {
         };
         prev_id = Some(id);
         let nnz = get_varint(buf, &mut pos)? as usize;
+        // Each entry takes at least a 1-byte column delta and a 4-byte
+        // value, so an untrusted count is checked before it sizes anything.
+        if nnz > (buf.len() - pos) / 5 {
+            return Err(CodecError::Truncated);
+        }
         cols.clear();
         cols.reserve(nnz);
         let mut prev_c: Option<u32> = None;
@@ -240,6 +245,18 @@ mod tests {
     fn decode_rejects_varint_overflow() {
         let buf = [0xff, 0xff, 0xff, 0xff, 0x7f, 0x00];
         assert_eq!(decode(&buf), Err(CodecError::VarintOverflow));
+    }
+
+    #[test]
+    fn decode_rejects_huge_entry_count_without_allocating() {
+        // nnz = u32::MAX would reserve 16 GiB of columns and values.
+        let mut buf = Vec::new();
+        put_varint(&mut buf, 8); // width
+        put_varint(&mut buf, 1); // n_rows
+        put_varint(&mut buf, 0); // id
+        put_varint(&mut buf, u32::MAX); // nnz
+        buf.extend_from_slice(&[0, 0, 0, 0, 0]);
+        assert_eq!(decode(&buf), Err(CodecError::Truncated));
     }
 
     #[test]

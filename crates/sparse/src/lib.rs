@@ -29,6 +29,8 @@ pub mod compress;
 mod csr;
 mod ops;
 mod rows;
+#[cfg(test)]
+mod testutil;
 pub mod varint;
 
 pub use csr::{CsrError, CsrMatrix};

@@ -195,32 +195,29 @@ impl LayerAccumulator {
     /// Applies `y = min(clip, max(0, z + bias))` and emits the surviving
     /// entries as the next layer's activation block for `owned` global ids.
     ///
+    /// Following the Graph Challenge's sparse convention, the bias applies
+    /// only where `z != 0` (an absent sample stays absent), and an entry
+    /// survives when `y > 0`. Every `(c, y)` is written to the row buffers
+    /// and the survivor count advances by that test, so the loop has no
+    /// data-dependent branch.
+    ///
     /// Returns `(activations, work_units)`.
     pub fn finalize(&self, owned: &[u32], bias: f32, clip: f32) -> (SparseRows, u64) {
         assert_eq!(owned.len(), self.n_rows, "owned ids/rows mismatch");
         let mut out = SparseRows::new(self.width);
-        let mut cols = Vec::with_capacity(self.width);
-        let mut vals = Vec::with_capacity(self.width);
-        for (local, &gid) in owned.iter().enumerate() {
-            cols.clear();
-            vals.clear();
-            let row = &self.data[local * self.width..(local + 1) * self.width];
+        let mut cols = vec![0u32; self.width];
+        let mut vals = vec![0f32; self.width];
+        // A zero-width accumulator holds no data, so `max(1)` yields no rows.
+        for (&gid, row) in owned.iter().zip(self.data.chunks_exact(self.width.max(1))) {
+            let mut n = 0usize;
             for (c, &z) in row.iter().enumerate() {
-                // Bias applies only to positions that received any input in
-                // the Graph Challenge kernel? No: Y = ReLU(W·X + b) applies the
-                // bias uniformly, but an all-zero input column stays zero
-                // because the sample itself is absent. We follow the
-                // benchmark's sparse convention: bias is added where z != 0.
-                if z != 0.0 {
-                    let y = (z + bias).clamp(0.0, clip);
-                    if y > 0.0 {
-                        cols.push(c as u32);
-                        vals.push(y);
-                    }
-                }
+                let y = (z + bias).clamp(0.0, clip);
+                cols[n] = c as u32;
+                vals[n] = y;
+                n += (z != 0.0 && y > 0.0) as usize;
             }
-            if !cols.is_empty() {
-                out.push_row(gid, &cols, &vals);
+            if n > 0 {
+                out.push_row(gid, &cols[..n], &vals[..n]);
             }
         }
         let work = (self.n_rows * self.width) as u64;
@@ -400,5 +397,133 @@ mod tests {
             combined.merge(&part);
         }
         assert_eq!(combined, reference);
+    }
+
+    /// The scalar `finalize` the branch-light one must match bit for bit.
+    fn reference_finalize(
+        acc: &LayerAccumulator,
+        owned: &[u32],
+        bias: f32,
+        clip: f32,
+    ) -> (SparseRows, u64) {
+        let mut out = SparseRows::new(acc.width);
+        let mut cols = Vec::with_capacity(acc.width);
+        let mut vals = Vec::with_capacity(acc.width);
+        for (local, &gid) in owned.iter().enumerate() {
+            cols.clear();
+            vals.clear();
+            let row = &acc.data[local * acc.width..(local + 1) * acc.width];
+            for (c, &z) in row.iter().enumerate() {
+                if z != 0.0 {
+                    let y = (z + bias).clamp(0.0, clip);
+                    if y > 0.0 {
+                        cols.push(c as u32);
+                        vals.push(y);
+                    }
+                }
+            }
+            if !cols.is_empty() {
+                out.push_row(gid, &cols, &vals);
+            }
+        }
+        (out, (acc.n_rows * acc.width) as u64)
+    }
+
+    /// Rows as `(id, cols, value bits)`, so `-0.0` and NaN compare exactly.
+    fn bits(rows: &SparseRows) -> Vec<(u32, Vec<u32>, Vec<u32>)> {
+        rows.iter()
+            .map(|(id, cols, vals)| {
+                (
+                    id,
+                    cols.to_vec(),
+                    vals.iter().map(|v| v.to_bits()).collect(),
+                )
+            })
+            .collect()
+    }
+
+    fn assert_finalize_matches(acc: &LayerAccumulator, bias: f32, clip: f32) {
+        let owned: Vec<u32> = (0..acc.n_rows as u32).map(|r| 3 * r + 1).collect();
+        let (fast, fast_work) = acc.finalize(&owned, bias, clip);
+        let (slow, slow_work) = reference_finalize(acc, &owned, bias, clip);
+        assert_eq!(fast_work, slow_work);
+        assert_eq!(bits(&fast), bits(&slow), "bias {bias} clip {clip}");
+    }
+
+    /// Accumulator values that sit on every edge of the activation.
+    fn edge_values(bias: f32, clip: f32) -> Vec<f32> {
+        vec![
+            0.0,
+            -0.0,
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -bias,
+            clip - bias,
+            (clip - bias) * (1.0 + f32::EPSILON),
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            f32::MAX,
+            f32::MIN,
+            1.0,
+            -1.0,
+        ]
+    }
+
+    const BIASES: [f32; 6] = [0.0, -0.0, -0.3, 0.45, -40.0, f32::NEG_INFINITY];
+    const CLIPS: [f32; 4] = [32.0, 0.0, 1.0e-30, f32::INFINITY];
+
+    #[test]
+    fn finalize_matches_reference_on_edge_values() {
+        for bias in BIASES {
+            for clip in CLIPS {
+                let vals = edge_values(bias, clip);
+                let mut acc = LayerAccumulator::new(vals.len(), vals.len());
+                // Each row rotates the edge values through every column.
+                for r in 0..vals.len() {
+                    for c in 0..vals.len() {
+                        acc.data[r * vals.len() + c] = vals[(r + c) % vals.len()];
+                    }
+                }
+                assert_finalize_matches(&acc, bias, clip);
+            }
+        }
+    }
+
+    #[test]
+    fn finalize_handles_zero_width_and_zero_rows() {
+        assert_finalize_matches(&LayerAccumulator::new(5, 0), -0.3, 32.0);
+        assert_finalize_matches(&LayerAccumulator::new(0, 7), -0.3, 32.0);
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn finalize_matches_reference(
+            seed in any::<u64>(),
+            rows in 0usize..24,
+            width in 1usize..70,
+            b in 0usize..BIASES.len(),
+            k in 0usize..CLIPS.len(),
+        ) {
+            let (bias, clip) = (BIASES[b], CLIPS[k]);
+            let edges = edge_values(bias, clip);
+            let mut rng = crate::testutil::Mix(seed);
+            let mut acc = LayerAccumulator::new(rows, width);
+            for z in acc.data.iter_mut() {
+                *z = match rng.below(4) {
+                    0 => 0.0,
+                    1 => edges[rng.below(edges.len())],
+                    2 => f32::from_bits(rng.next() as u32),
+                    _ => (rng.below(2000) as f32 - 1000.0) * 0.05,
+                };
+            }
+            assert_finalize_matches(&acc, bias, clip);
+        }
     }
 }

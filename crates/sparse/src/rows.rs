@@ -172,48 +172,59 @@ impl SparseRows {
     /// Merges another block into this one. Ids may interleave but must not
     /// collide (each global row has exactly one owner per layer).
     pub fn merge(&mut self, other: &SparseRows) {
-        assert_eq!(self.width, other.width, "width mismatch in merge");
-        if other.is_empty() {
-            return;
+        *self = SparseRows::merge_all(self.width, [&*self, other]);
+    }
+
+    /// Merges disjoint blocks into one id-sorted block in a single k-way
+    /// pass, however many blocks there are: the rows are ordered by id once,
+    /// then each is copied straight into preallocated storage. Ids may
+    /// interleave across blocks but must not collide (each global row has
+    /// exactly one owner per layer); the result does not depend on the order
+    /// of `blocks`.
+    pub fn merge_all<'a>(
+        width: usize,
+        blocks: impl IntoIterator<Item = &'a SparseRows>,
+    ) -> SparseRows {
+        let blocks: Vec<&SparseRows> = blocks.into_iter().collect();
+        let mut n_rows = 0usize;
+        let mut nnz = 0usize;
+        for b in &blocks {
+            assert_eq!(b.width, width, "width mismatch in merge");
+            n_rows += b.n_rows();
+            nnz += b.nnz();
         }
-        if self.is_empty() {
-            *self = other.clone();
-            return;
+        // (id, block, position): ids are unique, so the sort is a total
+        // order and an unstable sort is deterministic.
+        let mut order: Vec<(u32, u32, u32)> = Vec::with_capacity(n_rows);
+        for (k, b) in blocks.iter().enumerate() {
+            order.extend(
+                b.ids
+                    .iter()
+                    .enumerate()
+                    .map(|(p, &id)| (id, k as u32, p as u32)),
+            );
         }
-        // Fast path: strictly after (common when reducing rank-ordered blocks).
-        if other.ids[0] > *self.ids.last().expect("non-empty") {
-            self.ids.extend_from_slice(&other.ids);
-            let base = self.indices.len();
-            self.indices.extend_from_slice(&other.indices);
-            self.values.extend_from_slice(&other.values);
-            self.indptr
-                .extend(other.indptr[1..].iter().map(|&p| p + base));
-            return;
+        order.sort_unstable();
+        for w in order.windows(2) {
+            assert_ne!(w[0].0, w[1].0, "duplicate row id {} in merge", w[0].0);
         }
-        let mut merged = SparseRows::new(self.width);
-        let (mut i, mut j) = (0usize, 0usize);
-        loop {
-            let take_self = match (self.ids.get(i), other.ids.get(j)) {
-                (Some(a), Some(b)) => {
-                    assert_ne!(a, b, "duplicate row id {a} in merge");
-                    a < b
-                }
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            let (id, cols, vals) = if take_self {
-                let r = self.row_at(i);
-                i += 1;
-                r
-            } else {
-                let r = other.row_at(j);
-                j += 1;
-                r
-            };
-            merged.push_row(id, cols, vals);
+        let mut out = SparseRows {
+            width,
+            ids: Vec::with_capacity(n_rows),
+            indptr: Vec::with_capacity(n_rows + 1),
+            indices: Vec::with_capacity(nnz),
+            values: Vec::with_capacity(nnz),
+        };
+        out.indptr.push(0);
+        for (id, k, p) in order {
+            let b = blocks[k as usize];
+            let (s, e) = (b.indptr[p as usize], b.indptr[p as usize + 1]);
+            out.ids.push(id);
+            out.indices.extend_from_slice(&b.indices[s..e]);
+            out.values.extend_from_slice(&b.values[s..e]);
+            out.indptr.push(out.indices.len());
         }
-        *self = merged;
+        out
     }
 
     /// Splits this block into chunks of at most `max_nnz` stored entries
@@ -409,5 +420,118 @@ mod tests {
         assert_eq!(d.len(), 8);
         assert_eq!(d[1], 3.0); // row 5, col 1
         assert_eq!(d[4], 1.0); // row 2, col 0
+    }
+
+    /// The pairwise merge the k-way merge replaced: a two-cursor walk that
+    /// rebuilds the block, with an append fast path.
+    fn pairwise(acc: &mut SparseRows, other: &SparseRows) {
+        assert_eq!(acc.width, other.width, "width mismatch in merge");
+        if other.is_empty() {
+            return;
+        }
+        if acc.is_empty() {
+            *acc = other.clone();
+            return;
+        }
+        let mut merged = SparseRows::new(acc.width);
+        let (mut i, mut j) = (0usize, 0usize);
+        loop {
+            let take_acc = match (acc.ids.get(i), other.ids.get(j)) {
+                (Some(a), Some(b)) => {
+                    assert_ne!(a, b, "duplicate row id {a} in merge");
+                    a < b
+                }
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+                (None, None) => break,
+            };
+            let (id, cols, vals) = if take_acc {
+                i += 1;
+                acc.row_at(i - 1)
+            } else {
+                j += 1;
+                other.row_at(j - 1)
+            };
+            merged.push_row(id, cols, vals);
+        }
+        *acc = merged;
+    }
+
+    /// `k` disjoint blocks over `n` distinct ids. Mode 0 deals ids to blocks
+    /// at random (interleaved), mode 1 gives each block a contiguous id
+    /// range (strictly after one another), mode 2 leaves most blocks empty.
+    fn disjoint_blocks(seed: u64, n: usize, k: usize, mode: usize) -> Vec<SparseRows> {
+        use crate::testutil::Mix;
+        let width = 6;
+        let mut rng = Mix(seed);
+        let mut next_id = 0u32;
+        let mut blocks = vec![SparseRows::new(width); k];
+        for slot in 0..n {
+            next_id += 1 + rng.below(3) as u32;
+            let b = match mode {
+                0 => rng.below(k),
+                1 => slot * k / n,
+                _ => rng.below(2) * (k - 1),
+            };
+            let cols: Vec<u32> = (0..width as u32).filter(|_| rng.below(2) == 0).collect();
+            let vals: Vec<f32> = cols.iter().map(|_| rng.below(100) as f32 * 0.5).collect();
+            blocks[b].push_row(next_id, &cols, &vals);
+        }
+        blocks
+    }
+
+    #[test]
+    fn merge_all_of_nothing_is_empty() {
+        let out = SparseRows::merge_all(3, []);
+        assert_eq!(out, SparseRows::new(3));
+        let empties = [SparseRows::new(3), SparseRows::new(3)];
+        assert_eq!(SparseRows::merge_all(3, &empties), SparseRows::new(3));
+    }
+
+    #[test]
+    fn merge_all_of_one_block_is_that_block() {
+        assert_eq!(SparseRows::merge_all(4, [&block()]), block());
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate row id 5")]
+    fn merge_all_rejects_duplicates_across_distant_blocks() {
+        let dup = SparseRows::from_rows(4, [(5u32, vec![0u32], vec![1.0f32])]);
+        let after = SparseRows::from_rows(4, [(50u32, vec![0u32], vec![1.0f32])]);
+        SparseRows::merge_all(4, [&block(), &after, &SparseRows::new(4), &dup]);
+    }
+
+    #[test]
+    #[should_panic(expected = "width mismatch")]
+    fn merge_all_rejects_mixed_widths() {
+        SparseRows::merge_all(4, [&block(), &SparseRows::new(5)]);
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn merge_all_equals_pairwise_fold(
+            seed in any::<u64>(),
+            n in 0usize..120,
+            k in 1usize..12,
+            mode in 0usize..3,
+        ) {
+            let blocks = disjoint_blocks(seed, n, k, mode);
+            let mut folded = SparseRows::new(6);
+            for b in &blocks {
+                pairwise(&mut folded, b);
+            }
+            prop_assert_eq!(SparseRows::merge_all(6, &blocks), folded.clone());
+            // Block order does not matter, and `merge` is the same merge.
+            prop_assert_eq!(SparseRows::merge_all(6, blocks.iter().rev()), folded.clone());
+            let mut stepwise = SparseRows::new(6);
+            for b in &blocks {
+                stepwise.merge(b);
+            }
+            prop_assert_eq!(stepwise, folded);
+        }
     }
 }
