@@ -61,5 +61,35 @@ fn bench_finalize(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_spgemm, bench_finalize);
+/// `ColMajorBlock::from_layer`, the per-layer transpose every weight load
+/// runs: a rank's strided share (512 of 4096 rows, as a partitioner
+/// interleaves them) and a whole 1024-row layer (a cold-object rank's
+/// `N = 1024` model at `P = 1`).
+fn bench_from_layer(c: &mut Criterion) {
+    let mut g = c.benchmark_group("from_layer");
+    for &(n, rows) in &[(4096usize, 512usize), (1024, 1024)] {
+        let spec = DnnSpec {
+            neurons: n,
+            layers: 1,
+            nnz_per_row: 32,
+            bias: -0.3,
+            clip: 32.0,
+            seed: 1,
+        };
+        let dnn = generate_dnn(&spec);
+        let stride = n / rows;
+        let owned: Vec<u32> = (0..rows as u32).map(|r| r * stride as u32).collect();
+        let nnz: usize = owned
+            .iter()
+            .map(|&r| dnn.layer(0).row(r as usize).0.len())
+            .sum();
+        g.throughput(Throughput::Elements(nnz as u64));
+        g.bench_with_input(BenchmarkId::new(format!("{rows}_rows"), n), &n, |b, _| {
+            b.iter(|| ColMajorBlock::from_layer(dnn.layer(0), &owned))
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_spgemm, bench_finalize, bench_from_layer);
 criterion_main!(benches);

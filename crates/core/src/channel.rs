@@ -2,14 +2,18 @@
 //!
 //! Both FSI algorithms share one shape: per layer, each worker *sends* row
 //! blocks to a set of targets, computes its local product, then *receives*
-//! until every expected source has delivered. [`FsiChannel`] captures that
-//! shape; [`QueueChannel`](crate::QueueChannel) (Algorithm 1) and
+//! until every expected source has delivered. A send hands back its *send
+//! fence* — the virtual instant its outbound lanes finish — so the local
+//! product overlaps the lanes and the worker joins the fence only before
+//! it receives. [`FsiChannel`] captures that shape;
+//! [`QueueChannel`](crate::QueueChannel) (Algorithm 1) and
 //! [`ObjectChannel`](crate::ObjectChannel) (Algorithm 2) implement it over
 //! pub-sub/queueing and object storage respectively.
 //!
 //! Collectives (`barrier`, `reduce`) are built on the same primitives using
 //! reserved tags, exactly as the paper layers them on its channels.
 
+use fsd_comm::VirtualTime;
 use fsd_faas::{FaasError, WorkerCtx};
 use fsd_sparse::SparseRows;
 use std::collections::HashMap;
@@ -167,15 +171,21 @@ pub trait FsiChannel: Send + Sync {
     fn teardown(&self) {}
 
     /// Ships `sends` (target, rows — possibly empty) for `tag`. Packing,
-    /// chunking, compression and API batching are channel concerns; the
-    /// caller's clock is advanced by the modeled (multi-threaded) cost.
+    /// chunking, compression and API batching are channel concerns. The
+    /// caller's clock pays the single-threaded payload work (encode,
+    /// compress); the modeled multi-threaded lanes start at the caller's
+    /// clock and run on their own. Returns the *send fence*: the virtual
+    /// instant the slowest lane finishes, never before the caller's clock.
+    /// The caller joins it (`ctx.clock_mut().observe(fence)`) before it
+    /// receives or returns, so the lanes overlap whatever it computes in
+    /// between.
     fn send_layer(
         &self,
         ctx: &mut WorkerCtx,
         tag: Tag,
         src: u32,
         sends: &[(u32, SparseRows)],
-    ) -> Result<(), FaasError>;
+    ) -> Result<VirtualTime, FaasError>;
 
     /// One receive round for `me`: returns zero or more `(source, rows)`
     /// blocks and updates `tracker`. Callers loop until `tracker.done()`,
@@ -225,9 +235,11 @@ pub fn barrier(
         let mut tracker = RecvTracker::expecting(1..n_workers);
         channel.receive_all(ctx, Tag::BarrierArrive(round), 0, &mut tracker)?;
         let releases: Vec<(u32, SparseRows)> = (1..n_workers).map(|w| (w, empty.clone())).collect();
-        channel.send_layer(ctx, Tag::BarrierRelease(round), 0, &releases)?;
+        let fence = channel.send_layer(ctx, Tag::BarrierRelease(round), 0, &releases)?;
+        ctx.clock_mut().observe(fence);
     } else {
-        channel.send_layer(ctx, Tag::BarrierArrive(round), me, &[(0, empty)])?;
+        let fence = channel.send_layer(ctx, Tag::BarrierArrive(round), me, &[(0, empty)])?;
+        ctx.clock_mut().observe(fence);
         let mut tracker = RecvTracker::expecting([0u32]);
         channel.receive_all(ctx, Tag::BarrierRelease(round), me, &mut tracker)?;
     }
@@ -254,7 +266,8 @@ pub fn reduce(
         let parts = std::iter::once(&mine).chain(blocks.iter().map(|(_, b)| b));
         Ok(Some(SparseRows::merge_all(mine.width(), parts)))
     } else {
-        channel.send_layer(ctx, Tag::Reduce(batch), me, &[(0, mine)])?;
+        let fence = channel.send_layer(ctx, Tag::Reduce(batch), me, &[(0, mine)])?;
+        ctx.clock_mut().observe(fence);
         Ok(None)
     }
 }

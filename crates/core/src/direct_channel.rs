@@ -108,9 +108,9 @@ impl FsiChannel for DirectChannel {
         tag: Tag,
         src: u32,
         sends: &[(u32, SparseRows)],
-    ) -> Result<(), FaasError> {
+    ) -> Result<VirtualTime, FaasError> {
         if sends.is_empty() {
-            return Ok(());
+            return Ok(ctx.now());
         }
         let tag_key = tag.key_segment();
         // Build bodies first (single-threaded CPU work)…
@@ -127,7 +127,8 @@ impl FsiChannel for DirectChannel {
         // …then ship them over the modeled thread pool. Lane clocks
         // inherit the worker's flow, so punches and frames land on the
         // request's fabric and billing window. The punch is the only
-        // fallible step; a retried send re-attempts it.
+        // fallible step; a retried send re-attempts it. The slowest lane is
+        // the send fence; the caller's clock does not join it here.
         let lanes = self.opts.send_threads.max(1);
         let lane0 = VClock::starting_at(ctx.now()).with_flow(ctx.clock_mut().flow());
         let mut lane_clocks: Vec<VClock> = vec![lane0; lanes];
@@ -153,9 +154,7 @@ impl FsiChannel for DirectChannel {
             self.stats.add(&self.stats.direct_msgs, 1);
             self.stats.add(&self.stats.direct_bytes, bytes);
         }
-        let slowest = lane_clocks.iter().map(|c| c.now()).max().expect("≥1 lane");
-        ctx.clock_mut().observe(slowest);
-        Ok(())
+        Ok(lane_clocks.iter().map(|c| c.now()).max().expect("≥1 lane"))
     }
 
     fn receive_round(
@@ -249,6 +248,32 @@ mod tests {
             4,
             ids.iter().map(|&i| (i, vec![1u32, 3], vec![0.5f32, 2.5])),
         )
+    }
+
+    #[test]
+    fn send_fence_covers_every_lane() {
+        let env = CloudEnv::new(CloudConfig::deterministic(27));
+        let ch = DirectChannel::setup(env.clone(), 21, ChannelOptions::default());
+        let ch2 = ch.clone();
+        // 20 frames of growing size over 8 lanes.
+        let sends: Vec<(u32, SparseRows)> = (1..21u32)
+            .map(|t| (t, rows(&(0..8 * t).collect::<Vec<_>>())))
+            .collect();
+        let (lanes_start, fence) = with_ctx(env.clone(), move |ctx| {
+            let fence = ch2.send_layer(ctx, Tag::Layer(0), 0, &sends)?;
+            Ok((ctx.now(), fence))
+        });
+        let tag_key = Tag::Layer(0).key_segment();
+        let mut slowest = VirtualTime::ZERO;
+        for target in 1..21usize {
+            for frame in env.direct().fetch(ch.flow(), target, &tag_key, 0) {
+                assert!(frame.available_at > lanes_start);
+                assert!(fence >= frame.available_at, "a lane ends after the fence");
+                slowest = slowest.max(frame.available_at);
+            }
+        }
+        assert_eq!(fence, slowest, "the fence is the slowest lane");
+        assert!(fence > lanes_start, "the sender's clock joined its lanes");
     }
 
     #[test]

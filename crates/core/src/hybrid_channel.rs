@@ -24,17 +24,21 @@
 //! Spilled objects live under the flow namespace
 //! (`f{flow}/{tag}/{target}/…`), so [`HybridChannel::teardown`] removes
 //! them together with the flow's queues and subscriptions — the same
-//! per-request cleanup invariant both pure channels honor. A pointer is
-//! only published after its object's PUT has completed, so a receiver that
-//! has seen the pointer (clock ≥ message stamp ≥ PUT stamp) always finds
-//! the object visible.
+//! per-request cleanup invariant both pure channels honor. A send PUTs its
+//! spilled objects first and starts its publish lanes at the slowest PUT
+//! lane, so a pointer is only published after its object's PUT has
+//! completed: a receiver that has seen the pointer (clock ≥ message stamp
+//! ≥ PUT stamp) always finds the object visible. Neither phase moves the
+//! sender's clock; the send returns the publish fence.
 
 use crate::channel::{FsiChannel, RecvTracker, Tag};
 use crate::queue_channel::{
     decode_payload, encode_payload, poll_and_stash, publish_over_lanes, ChannelOptions, TagInbox,
 };
 use crate::stats::ChannelStats;
-use fsd_comm::{bucket_name, quota, CloudEnv, Message, MessageAttributes, SqsQueue, VClock};
+use fsd_comm::{
+    bucket_name, quota, CloudEnv, Message, MessageAttributes, SqsQueue, VClock, VirtualTime,
+};
 use fsd_faas::{FaasError, WorkerCtx};
 use fsd_sparse::{codec, SparseRows};
 use parking_lot::Mutex;
@@ -276,9 +280,9 @@ impl FsiChannel for HybridChannel {
         tag: Tag,
         src: u32,
         sends: &[(u32, SparseRows)],
-    ) -> Result<(), FaasError> {
+    ) -> Result<VirtualTime, FaasError> {
         if sends.is_empty() {
-            return Ok(());
+            return Ok(ctx.now());
         }
         // 1. Build every frame; collect spilled bodies for the PUT phase.
         let mut puts: Vec<(String, String, Vec<u8>)> = Vec::new();
@@ -302,10 +306,12 @@ impl FsiChannel for HybridChannel {
         }
         // 2. Spilled payloads PUT first over the modeled thread pool — a
         //    pointer is only published once its object is durable, so the
-        //    caller's clock joins the slowest PUT lane before publishing.
+        //    publish lanes start at the slowest PUT lane. The caller's
+        //    clock joins neither.
+        let mut publish_start = ctx.now();
         if !puts.is_empty() {
             let lanes = self.opts.send_threads.max(1);
-            let lane0 = VClock::starting_at(ctx.now()).with_flow(ctx.clock_mut().flow());
+            let lane0 = VClock::starting_at(publish_start).with_flow(ctx.clock_mut().flow());
             let mut lane_clocks: Vec<VClock> = vec![lane0; lanes];
             for (i, (bucket, key, body)) in puts.into_iter().enumerate() {
                 let lane = &mut lane_clocks[i % lanes];
@@ -322,13 +328,21 @@ impl FsiChannel for HybridChannel {
                 self.stats.add(&self.stats.s3_puts, 1);
                 self.stats.add(&self.stats.s3_bytes_put, bytes);
             }
-            let slowest = lane_clocks.iter().map(|c| c.now()).max().expect("≥1 lane");
-            ctx.clock_mut().observe(slowest);
+            publish_start = lane_clocks.iter().map(|c| c.now()).max().expect("≥1 lane");
         }
         // 3. Greedy batch packing + lane-clocked publishes — the queue
-        //    channel's control-plane path, shared verbatim.
+        //    channel's control-plane path, shared verbatim. The publish
+        //    fence is the whole send's fence.
         let topic = src as usize % self.env.pubsub().n_topics();
-        publish_over_lanes(&self.env, &self.stats, ctx, &self.opts, topic, messages)
+        publish_over_lanes(
+            &self.env,
+            &self.stats,
+            ctx,
+            &self.opts,
+            topic,
+            messages,
+            publish_start,
+        )
     }
 
     fn receive_round(
@@ -363,7 +377,7 @@ impl FsiChannel for HybridChannel {
         let inbox = self.inboxes.lock().remove(&(me, want)).unwrap_or_default();
         let mut raw = inbox.raw;
         raw.sort_unstable_by_key(|m| (m.0, m.1, m.3.len()));
-        let billing: Vec<(fsd_comm::VirtualTime, usize)> = raw
+        let billing: Vec<(VirtualTime, usize)> = raw
             .iter()
             .map(|(stamp, .., body)| (*stamp, body.len()))
             .collect();
@@ -455,6 +469,66 @@ mod tests {
         (0..env.config().n_buckets)
             .map(|i| env.object_store().object_count(&bucket_name(i)))
             .sum()
+    }
+
+    #[test]
+    fn pointers_publish_after_their_puts_and_the_fence_covers_both() {
+        let env = CloudEnv::new(CloudConfig::deterministic(41));
+        // Every payload spills; one message per publish spreads the
+        // pointers over every publish lane.
+        let opts = ChannelOptions {
+            spill_threshold: 64,
+            packing: false,
+            ..ChannelOptions::default()
+        };
+        let ch = HybridChannel::setup(env.clone(), 13, opts);
+        let ch2 = ch.clone();
+        let sends: Vec<(u32, SparseRows)> = (1..13u32)
+            .map(|t| (t, big_rows(256 * t as usize)))
+            .collect();
+        let (lanes_start, fence) = with_ctx(env.clone(), move |ctx| {
+            let fence = ch2.send_layer(ctx, Tag::Layer(0), 0, &sends)?;
+            Ok((ctx.now(), fence))
+        });
+        let delivery = env.latency().sns_delivery_us;
+        let mut slowest_publish = 0u64;
+        for target in 1..13u32 {
+            let puts: HashMap<String, VirtualTime> = env
+                .object_store()
+                .scan_keys(
+                    &ch.bucket_for(target),
+                    &ch.prefix_for(Tag::Layer(0), target),
+                    0,
+                )
+                .expect("scan")
+                .into_iter()
+                .collect();
+            for m in ch.queues[target as usize].take_visible(quota::MAX_BATCH_MESSAGES) {
+                let Frame::Pointer { key, .. } = parse_frame(&m.message.body).expect("frame")
+                else {
+                    panic!("payload for {target} did not spill");
+                };
+                let put_done = puts[key];
+                assert!(put_done > lanes_start);
+                assert!(
+                    m.available_at >= put_done,
+                    "pointer {key} visible before its object"
+                );
+                assert!(fence >= put_done, "a PUT lane ends after the fence");
+                let published = m.available_at.as_micros() - delivery;
+                assert!(
+                    fence.as_micros() >= published,
+                    "a publish lane ends after the fence"
+                );
+                slowest_publish = slowest_publish.max(published);
+            }
+        }
+        assert_eq!(
+            fence.as_micros(),
+            slowest_publish,
+            "the fence is the slowest publish lane"
+        );
+        assert!(fence > lanes_start, "the sender's clock joined its lanes");
     }
 
     #[test]

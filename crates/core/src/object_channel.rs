@@ -135,9 +135,9 @@ impl FsiChannel for ObjectChannel {
         tag: Tag,
         src: u32,
         sends: &[(u32, SparseRows)],
-    ) -> Result<(), FaasError> {
+    ) -> Result<VirtualTime, FaasError> {
         if sends.is_empty() {
-            return Ok(());
+            return Ok(ctx.now());
         }
         // Build bodies first (single-threaded CPU work)…
         let mut puts: Vec<(String, String, Vec<u8>)> = Vec::with_capacity(sends.len());
@@ -153,7 +153,11 @@ impl FsiChannel for ObjectChannel {
             }
         }
         // …then issue the PUTs over the modeled thread pool. Lane clocks
-        // inherit the worker's flow so the PUTs bill to the request.
+        // inherit the worker's flow so the PUTs bill to the request. Unlike
+        // the queue-fed and direct channels, the caller joins its PUTs
+        // here and the fence is its own clock: receivers pay for every
+        // LIST, so a worker that scanned before its own PUTs finished
+        // would only bill more empty scans.
         let lanes = self.opts.send_threads.max(1);
         let lane0 = VClock::starting_at(ctx.now()).with_flow(ctx.clock_mut().flow());
         let mut lane_clocks: Vec<VClock> = vec![lane0; lanes];
@@ -174,7 +178,7 @@ impl FsiChannel for ObjectChannel {
         }
         let slowest = lane_clocks.iter().map(|c| c.now()).max().expect("≥1 lane");
         ctx.clock_mut().observe(slowest);
-        Ok(())
+        Ok(ctx.now())
     }
 
     fn receive_round(
@@ -290,6 +294,37 @@ mod tests {
             4,
             ids.iter().map(|&i| (i, vec![1u32, 3], vec![0.5f32, 2.5])),
         )
+    }
+
+    #[test]
+    fn send_layer_joins_its_puts() {
+        // Object sends stay synchronous: receivers pay for every LIST, so
+        // the sender's clock joins its slowest PUT and that is its fence.
+        let env = CloudEnv::new(CloudConfig::deterministic(13));
+        let ch = ObjectChannel::setup(env.clone(), 21, ChannelOptions::default());
+        let ch2 = ch.clone();
+        let sends: Vec<(u32, SparseRows)> = (1..21u32)
+            .map(|t| (t, rows(&(0..8 * t).collect::<Vec<_>>())))
+            .collect();
+        let (after, fence) = with_ctx(env.clone(), move |ctx| {
+            let fence = ch2.send_layer(ctx, Tag::Layer(0), 0, &sends)?;
+            Ok((ctx.now(), fence))
+        });
+        assert_eq!(fence, after, "the fence is the caller's own clock");
+        let mut slowest = VirtualTime::ZERO;
+        for target in 1..21u32 {
+            let found = env
+                .object_store()
+                .scan_keys(
+                    &ch.bucket_for(target),
+                    &ch.prefix_for(Tag::Layer(0), target),
+                    0,
+                )
+                .expect("scan");
+            assert_eq!(found.len(), 1);
+            slowest = slowest.max(found[0].1);
+        }
+        assert_eq!(after, slowest, "the caller's clock joined its slowest PUT");
     }
 
     #[test]

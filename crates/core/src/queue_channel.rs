@@ -15,7 +15,9 @@
 
 use crate::channel::{FsiChannel, RecvTracker, Tag};
 use crate::stats::ChannelStats;
-use fsd_comm::{quota, topic_name, CloudEnv, Message, MessageAttributes, SqsQueue, VClock};
+use fsd_comm::{
+    quota, topic_name, CloudEnv, Message, MessageAttributes, SqsQueue, VClock, VirtualTime,
+};
 use fsd_faas::{FaasError, WorkerCtx};
 use fsd_sparse::{codec, compress, SparseRows};
 use parking_lot::Mutex;
@@ -120,7 +122,7 @@ pub(crate) fn decode_payload(
 #[derive(Default)]
 pub(crate) struct TagInbox {
     /// `(stamp, source, total_chunks, wire body)` in arrival order.
-    pub(crate) raw: Vec<(fsd_comm::VirtualTime, u32, u32, Vec<u8>)>,
+    pub(crate) raw: Vec<(VirtualTime, u32, u32, Vec<u8>)>,
     /// Chunk announcements not yet applied to the tag's tracker (filled
     /// when messages arrive while another tag is being received).
     pub(crate) unapplied: Vec<(u32, u32)>,
@@ -182,9 +184,10 @@ pub(crate) fn poll_and_stash(
 
 /// Packs `messages` into publish batches (≤ 10 messages, ≤ 256 KiB — or
 /// one message per publish with packing disabled) and issues them to
-/// `topic` over the modeled `send_threads` lane pool, joining the
-/// caller's clock to the slowest lane and recording client-side stats.
-/// The shared control-plane send path of the queue and hybrid channels.
+/// `topic` over the modeled `send_threads` lane pool, every lane starting
+/// at `start`, and records client-side stats. Returns the publish fence
+/// (the slowest lane's clock); the caller's clock does not move. The
+/// shared control-plane send path of the queue and hybrid channels.
 pub(crate) fn publish_over_lanes(
     env: &CloudEnv,
     stats: &ChannelStats,
@@ -192,7 +195,8 @@ pub(crate) fn publish_over_lanes(
     opts: &ChannelOptions,
     topic: usize,
     messages: Vec<Message>,
-) -> Result<(), FaasError> {
+    start: VirtualTime,
+) -> Result<VirtualTime, FaasError> {
     let max_batch = if opts.packing {
         quota::MAX_BATCH_MESSAGES
     } else {
@@ -215,9 +219,9 @@ pub(crate) fn publish_over_lanes(
         batches.push(cur);
     }
     // Lane clocks inherit the worker's flow so publishes bill to the
-    // request; the caller's clock joins the slowest lane.
+    // request.
     let lanes = opts.send_threads.max(1);
-    let lane0 = VClock::starting_at(ctx.now()).with_flow(ctx.clock_mut().flow());
+    let lane0 = VClock::starting_at(start).with_flow(ctx.clock_mut().flow());
     let mut lane_clocks: Vec<VClock> = vec![lane0; lanes];
     for (i, batch) in batches.into_iter().enumerate() {
         let lane = &mut lane_clocks[i % lanes];
@@ -236,9 +240,7 @@ pub(crate) fn publish_over_lanes(
         stats.add(&stats.messages, n_msgs);
         stats.add(&stats.bytes_sent, bytes);
     }
-    let slowest = lane_clocks.iter().map(|c| c.now()).max().expect("≥1 lane");
-    ctx.clock_mut().observe(slowest);
-    Ok(())
+    Ok(lane_clocks.iter().map(|c| c.now()).max().expect("≥1 lane"))
 }
 
 /// The pub-sub/queueing channel. One instance serves one request flow:
@@ -367,9 +369,9 @@ impl FsiChannel for QueueChannel {
         tag: Tag,
         src: u32,
         sends: &[(u32, SparseRows)],
-    ) -> Result<(), FaasError> {
+    ) -> Result<VirtualTime, FaasError> {
         if sends.is_empty() {
-            return Ok(());
+            return Ok(ctx.now());
         }
         // 1. Build all byte strings (Xsend_list in Algorithm 1).
         let mut messages: Vec<Message> = Vec::new();
@@ -391,9 +393,18 @@ impl FsiChannel for QueueChannel {
             }
         }
         // 2. Greedy batch packing + lane-clocked publishes (shared with
-        //    the hybrid channel's control plane).
+        //    the hybrid channel's control plane); their fence is ours.
         let topic = src as usize % self.env.pubsub().n_topics();
-        publish_over_lanes(&self.env, &self.stats, ctx, &self.opts, topic, messages)
+        let start = ctx.now();
+        publish_over_lanes(
+            &self.env,
+            &self.stats,
+            ctx,
+            &self.opts,
+            topic,
+            messages,
+            start,
+        )
     }
 
     fn receive_round(
@@ -421,15 +432,22 @@ impl FsiChannel for QueueChannel {
         if !tracker.done() {
             return Ok(Vec::new());
         }
-        // Tag complete: process the whole arrival set in deterministic
-        // stamp order and settle the billed poll sequence from the stamps.
+        // Tag complete: settle the billed poll sequence from the stamps
+        // *first* — a body cannot be decoded before it has been received —
+        // then decode the arrival set in deterministic stamp order.
         let inbox = self.inboxes.lock().remove(&(me, want)).unwrap_or_default();
         let mut raw = inbox.raw;
         raw.sort_unstable_by_key(|m| (m.0, m.1, m.3.len()));
-        let billing: Vec<(fsd_comm::VirtualTime, usize)> = raw
+        let billing: Vec<(VirtualTime, usize)> = raw
             .iter()
             .map(|(stamp, .., body)| (*stamp, body.len()))
             .collect();
+        let rounds = self.queues[me as usize].settle_receives(
+            ctx.clock_mut(),
+            self.opts.long_poll_secs,
+            &billing,
+        );
+        self.stats.add(&self.stats.sqs_calls, rounds);
         let mut out = Vec::new();
         for (_, source, _, body) in raw {
             let rows = decode_payload(ctx, &body, self.opts.compression)?;
@@ -437,12 +455,6 @@ impl FsiChannel for QueueChannel {
                 out.push((source, rows));
             }
         }
-        let rounds = self.queues[me as usize].settle_receives(
-            ctx.clock_mut(),
-            self.opts.long_poll_secs,
-            &billing,
-        );
-        self.stats.add(&self.stats.sqs_calls, rounds);
         Ok(out)
     }
 }
@@ -471,6 +483,91 @@ mod tests {
             4,
             ids.iter().map(|&i| (i, vec![0u32, 2], vec![1.0f32, 2.0])),
         )
+    }
+
+    /// `n` rows from id `base` with `width` hash-varied values each, so
+    /// wire bodies grow with `n` and compress only a little.
+    fn varied_rows(base: u32, n: u32, width: u32) -> SparseRows {
+        SparseRows::from_rows(
+            width as usize,
+            (base..base + n).map(|i| {
+                let vals = (0..width)
+                    .map(|j| {
+                        (i.wrapping_mul(2_654_435_761).wrapping_add(j * 40_503) % 65_521) as f32
+                    })
+                    .collect();
+                (i, (0..width).collect(), vals)
+            }),
+        )
+    }
+
+    #[test]
+    fn send_fence_covers_every_publish_lane() {
+        let env = CloudEnv::new(CloudConfig::deterministic(8));
+        // One message per publish spreads 20 sends over every lane.
+        let opts = ChannelOptions {
+            packing: false,
+            ..ChannelOptions::default()
+        };
+        let ch = QueueChannel::setup(env.clone(), 21, opts);
+        let ch2 = ch.clone();
+        let sends: Vec<(u32, SparseRows)> =
+            (1..21u32).map(|t| (t, varied_rows(t, 4 * t, 16))).collect();
+        let (lanes_start, fence) = with_ctx(env.clone(), move |ctx| {
+            let fence = ch2.send_layer(ctx, Tag::Layer(0), 0, &sends)?;
+            Ok((ctx.now(), fence))
+        });
+        let delivery = env.latency().sns_delivery_us;
+        let mut slowest = 0u64;
+        for q in &ch.queues[1..] {
+            for m in q.take_visible(quota::MAX_BATCH_MESSAGES) {
+                let published = m.available_at.as_micros() - delivery;
+                assert!(published > lanes_start.as_micros());
+                assert!(
+                    fence.as_micros() >= published,
+                    "a lane ends after the fence"
+                );
+                slowest = slowest.max(published);
+            }
+        }
+        assert_eq!(fence.as_micros(), slowest, "the fence is the slowest lane");
+        assert!(fence > lanes_start, "the sender's clock joined its lanes");
+    }
+
+    #[test]
+    fn decode_is_charged_after_the_receive_that_delivers() {
+        let env = CloudEnv::new(CloudConfig::deterministic(9));
+        let ch = QueueChannel::setup(env.clone(), 2, ChannelOptions::default());
+        let block = varied_rows(0, 64, 64);
+        // The block travels as one message; measure its decode charge alone.
+        let block2 = block.clone();
+        let (body_len, decode_us) = with_ctx(env.clone(), move |ctx| {
+            let body = encode_payload(ctx, &ChannelStats::new(), &block2, true);
+            let t0 = ctx.now();
+            decode_payload(ctx, &body, true)?;
+            Ok((body.len(), ctx.now().as_micros() - t0.as_micros()))
+        });
+        assert!(decode_us > 0);
+        let ch2 = ch.clone();
+        // The sender publishes 3 s into the receiver's wait.
+        let fence = with_ctx(env.clone(), move |ctx| {
+            ctx.clock_mut().advance_micros(3_000_000);
+            ch2.send_layer(ctx, Tag::Layer(0), 0, &[(1, block)])
+        });
+        let finished = with_ctx(env.clone(), move |ctx| {
+            let mut tracker = RecvTracker::expecting([0u32]);
+            let got = ch.receive_all(ctx, Tag::Layer(0), 1, &mut tracker)?;
+            assert_eq!(got.len(), 1);
+            Ok(ctx.now())
+        });
+        let lat = env.latency();
+        let stamp = fence.as_micros() + lat.sns_delivery_us;
+        let round = lat.sqs_poll_total_us(body_len) + lat.sqs_delete_us;
+        assert!(
+            finished.as_micros() >= stamp + round + decode_us,
+            "finished at {finished:?}, before stamp {stamp} µs + round {round} µs + decode \
+             {decode_us} µs"
+        );
     }
 
     #[test]

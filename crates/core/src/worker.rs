@@ -4,9 +4,10 @@
 //! (the cascade or the flat streamed launch) with its weight/map
 //! artifacts loaded. Per request it runs `run_batches`: per inference
 //! batch (paper Fig. 1: "Batch 1 … Batch n, SYNC") and per layer it sends
-//! its owed rows, computes the local product to overlap communication with
-//! computation, receives and accumulates inbound rows until its receive map
-//! is satisfied, and applies the activation. A barrier + reduce per batch
+//! its owed rows, computes the local product while the send lanes are still
+//! in flight (overlapping communication with computation), joins the send
+//! fence, receives and accumulates inbound rows until its receive map is
+//! satisfied, and applies the activation. A barrier + reduce per batch
 //! delivers that batch's result to rank 0. Launch and weight-load costs
 //! amortize across batches — the data-parallel batch processing the paper
 //! builds in — and, on a warm tree, across requests.
@@ -74,24 +75,28 @@ pub(crate) fn run_batches(
                 .iter()
                 .map(|(target, rows)| (*target, x.extract(rows)))
                 .collect();
-            channel.send_layer(ctx, tag, rank, &sends)?;
+            let fence = channel.send_layer(ctx, tag, rank, &sends)?;
             drop(sends);
 
-            // Local product overlaps with inbound communication: its
-            // compute time is charged *now* (before polling), while the
-            // numeric accumulation is deferred and done over the merged,
-            // id-sorted input set — so the f32 summation order (and hence
-            // the result) is bit-identical to the serial ground truth.
+            // Local product overlaps with the outbound send lanes and the
+            // inbound communication: its compute time is charged *now*
+            // (before joining the send fence), while the numeric
+            // accumulation is deferred and done over the merged, id-sorted
+            // input set — so the f32 summation order (and hence the
+            // result) is bit-identical to the serial ground truth.
             let local_work = art.weight(k).matched_work(&x);
             ctx.charge_work(local_work);
             work_done += local_work;
+            ctx.clock_mut().observe(fence);
 
-            // Receive until every expected source delivered, charging each
-            // block's accumulate work as it arrives (still overlapped). The
-            // blocks join `x` in one k-way merge once the layer's inputs
-            // are all in.
+            // Receive until every expected source delivered. Every channel
+            // hands a tag's blocks back only once the tag is complete, so
+            // their accumulate work is charged after the last arrival. The
+            // blocks join `x` in one k-way merge; `tracked` is what the
+            // memory model holds for `x` and them, freed as one.
             let mut tracker = RecvTracker::expecting(art.recv[k].iter().map(|(s, _)| *s));
             let mut received: Vec<SparseRows> = Vec::new();
+            let mut tracked = x.mem_bytes();
             while !tracker.done() {
                 ctx.check_limits()?;
                 let blocks = channel.receive_round(ctx, tag, rank, &mut tracker)?;
@@ -99,6 +104,7 @@ pub(crate) fn run_batches(
                     let w = art.weight(k).matched_work(&block);
                     ctx.charge_work(w);
                     work_done += w;
+                    tracked += block.mem_bytes();
                     ctx.track_alloc(block.mem_bytes());
                     received.push(block);
                 }
@@ -112,11 +118,10 @@ pub(crate) fn run_batches(
             // charged above), then the activation x^k = f(z^k).
             acc.reset(art.owned.len());
             acc.accumulate(art.weight(k), &x);
-            let old_mem = x.mem_bytes();
             let (next, fw) = acc.finalize(&art.owned, spec.bias, spec.clip);
             ctx.charge_work(fw);
             work_done += fw;
-            ctx.track_free(old_mem);
+            ctx.track_free(tracked);
             ctx.track_alloc(next.mem_bytes());
             x = next;
             ctx.check_limits()?;
@@ -188,4 +193,69 @@ fn load_full_inputs(ctx: &mut WorkerCtx, input_key: &str) -> Result<SparseRows, 
     ctx.track_alloc(inputs.mem_bytes());
     ctx.check_limits()?;
     Ok(inputs)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::artifacts::{load_worker_artifacts, stage_inputs, stage_partitioned_model};
+    use crate::queue_channel::{ChannelOptions, QueueChannel};
+    use fsd_comm::{CloudConfig, CloudEnv, VirtualTime};
+    use fsd_faas::{ComputeModel, FaasPlatform, FunctionConfig};
+    use fsd_model::{generate_dnn, generate_inputs, InputSpec};
+    use fsd_partition::{partition_model, CommPlan, PartitionScheme};
+
+    #[test]
+    fn every_rank_returns_to_its_post_load_memory_after_each_request() {
+        let env = CloudEnv::new(CloudConfig::deterministic(3));
+        let spec = DnnSpec {
+            neurons: 96,
+            layers: 4,
+            nnz_per_row: 8,
+            bias: -0.25,
+            clip: 32.0,
+            seed: 3,
+        };
+        let dnn = generate_dnn(&spec);
+        let p = 4u32;
+        let part = partition_model(&dnn, p as usize, PartitionScheme::Block, 1);
+        let plan = CommPlan::build(&dnn, &part);
+        stage_partitioned_model(&env, "m", &dnn, &part, &plan);
+        let widths = [12usize, 7];
+        for (b, &width) in widths.iter().enumerate() {
+            let inputs = generate_inputs(spec.neurons, &InputSpec::scaled(width, b as u64 + 1));
+            stage_inputs(&env, &format!("i/b{b}"), &inputs, Some(&part));
+        }
+        // Three requests in a row, each on its own flow-scoped channel, as
+        // a warm tree serves them.
+        let channels: Vec<Arc<dyn FsiChannel>> = (1..=3u64)
+            .map(|flow| {
+                let ch: Arc<dyn FsiChannel> =
+                    QueueChannel::setup_scoped(env.clone(), p, ChannelOptions::default(), flow);
+                ch
+            })
+            .collect();
+        let platform = FaasPlatform::new(env, ComputeModel::default());
+        let ranks: Vec<_> = (0..p)
+            .map(|rank| {
+                let channels = channels.clone();
+                platform.invoke(
+                    FunctionConfig::worker(format!("w{rank}"), 2048),
+                    VirtualTime::ZERO,
+                    move |ctx| {
+                        let mut art = load_worker_artifacts(ctx, "m", p, rank, spec.layers)?;
+                        let loaded = ctx.mem_bytes();
+                        for channel in &channels {
+                            run_batches(ctx, channel, rank, p, &spec, &mut art, "i", &widths)?;
+                            assert_eq!(ctx.mem_bytes(), loaded, "rank {rank} kept memory");
+                        }
+                        Ok(())
+                    },
+                )
+            })
+            .collect();
+        for rank in ranks {
+            rank.join().expect("rank served every request");
+        }
+    }
 }

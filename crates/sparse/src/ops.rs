@@ -32,33 +32,40 @@ pub struct ColMajorBlock {
 impl ColMajorBlock {
     /// Builds the block for local output rows `owned` (global ids, defining
     /// local indices by position) from the full layer matrix `w`.
+    ///
+    /// A counting pass by input id: each input's slots are laid out first,
+    /// then filled by visiting the owned rows in local order, so every
+    /// input lists its `(local output row, weight)` pairs in ascending
+    /// local row (CSR columns are unique within a row).
     pub fn from_layer(w: &CsrMatrix, owned: &[u32]) -> ColMajorBlock {
-        // Gather (input_id, local_out, weight) triplets, then sort by input id.
-        let mut trips: Vec<(u32, u32, f32)> = Vec::new();
+        // `next[c]`: entries of input `c`, then its next free slot.
+        let mut next = vec![0usize; w.cols()];
+        for &gid in owned {
+            for &c in w.row(gid as usize).0 {
+                next[c as usize] += 1;
+            }
+        }
+        let mut in_ids = Vec::new();
+        let mut indptr = vec![0usize];
+        let mut total = 0usize;
+        for (c, slot) in next.iter_mut().enumerate() {
+            if *slot > 0 {
+                in_ids.push(c as u32);
+                let count = std::mem::replace(slot, total);
+                total += count;
+                indptr.push(total);
+            }
+        }
+        let mut out_rows = vec![0u32; total];
+        let mut weights = vec![0f32; total];
         for (local, &gid) in owned.iter().enumerate() {
             let (cols, vals) = w.row(gid as usize);
             for (&c, &v) in cols.iter().zip(vals) {
-                trips.push((c, local as u32, v));
+                let slot = &mut next[c as usize];
+                out_rows[*slot] = local as u32;
+                weights[*slot] = v;
+                *slot += 1;
             }
-        }
-        trips.sort_unstable_by_key(|&(c, l, _)| (c, l));
-        let mut in_ids = Vec::new();
-        let mut indptr = vec![0usize];
-        let mut out_rows = Vec::with_capacity(trips.len());
-        let mut weights = Vec::with_capacity(trips.len());
-        for (c, l, v) in trips {
-            if in_ids.last() != Some(&c) {
-                if !in_ids.is_empty() {
-                    indptr.push(out_rows.len());
-                }
-                in_ids.push(c);
-            }
-            out_rows.push(l);
-            weights.push(v);
-        }
-        indptr.push(out_rows.len());
-        if in_ids.is_empty() {
-            indptr = vec![0];
         }
         ColMajorBlock {
             n_local_rows: owned.len(),
@@ -399,6 +406,92 @@ mod tests {
         assert_eq!(combined, reference);
     }
 
+    /// The triplet-sort builder the counting `from_layer` must match field
+    /// for field.
+    fn reference_from_layer(w: &CsrMatrix, owned: &[u32]) -> ColMajorBlock {
+        let mut trips: Vec<(u32, u32, f32)> = Vec::new();
+        for (local, &gid) in owned.iter().enumerate() {
+            let (cols, vals) = w.row(gid as usize);
+            for (&c, &v) in cols.iter().zip(vals) {
+                trips.push((c, local as u32, v));
+            }
+        }
+        trips.sort_unstable_by_key(|&(c, l, _)| (c, l));
+        let mut in_ids = Vec::new();
+        let mut indptr = vec![0usize];
+        let mut out_rows = Vec::with_capacity(trips.len());
+        let mut weights = Vec::with_capacity(trips.len());
+        for (c, l, v) in trips {
+            if in_ids.last() != Some(&c) {
+                if !in_ids.is_empty() {
+                    indptr.push(out_rows.len());
+                }
+                in_ids.push(c);
+            }
+            out_rows.push(l);
+            weights.push(v);
+        }
+        indptr.push(out_rows.len());
+        if in_ids.is_empty() {
+            indptr = vec![0];
+        }
+        ColMajorBlock {
+            n_local_rows: owned.len(),
+            in_ids,
+            indptr,
+            out_rows,
+            weights,
+        }
+    }
+
+    /// Random `rows × cols` layer (density `1 / sparsity`) and a random
+    /// duplicate-free owned-row list in arbitrary order.
+    fn random_block_case(
+        seed: u64,
+        rows: usize,
+        cols: usize,
+        sparsity: usize,
+    ) -> (CsrMatrix, Vec<u32>) {
+        let mut rng = crate::testutil::Mix(seed);
+        let mut trips = Vec::new();
+        for r in 0..rows as u32 {
+            for c in 0..cols as u32 {
+                if rng.below(sparsity) == 0 {
+                    trips.push((r, c, rng.below(1000) as f32 * 0.01 - 5.0));
+                }
+            }
+        }
+        let w = CsrMatrix::from_triplets(rows, cols, trips).expect("valid");
+        let mut owned: Vec<u32> = (0..rows as u32).filter(|_| rng.below(2) == 0).collect();
+        for i in (1..owned.len()).rev() {
+            owned.swap(i, rng.below(i + 1));
+        }
+        (w, owned)
+    }
+
+    #[test]
+    fn from_layer_matches_reference_on_edge_blocks() {
+        let wm = w();
+        for owned in [vec![], vec![1u32], vec![2], vec![2, 0], vec![0, 1, 2]] {
+            assert_eq!(
+                ColMajorBlock::from_layer(&wm, &owned),
+                reference_from_layer(&wm, &owned),
+                "owned {owned:?}"
+            );
+        }
+        // A single row with no weights, and a matrix with no columns.
+        let empty_row = CsrMatrix::from_triplets(2, 4, [(1, 3, 1.0)]).expect("valid");
+        assert_eq!(
+            ColMajorBlock::from_layer(&empty_row, &[0]),
+            reference_from_layer(&empty_row, &[0])
+        );
+        let no_cols = CsrMatrix::from_triplets(3, 0, []).expect("valid");
+        assert_eq!(
+            ColMajorBlock::from_layer(&no_cols, &[0, 2]),
+            reference_from_layer(&no_cols, &[0, 2])
+        );
+    }
+
     /// The scalar `finalize` the branch-light one must match bit for bit.
     fn reference_finalize(
         acc: &LayerAccumulator,
@@ -502,6 +595,20 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn from_layer_matches_reference(
+            seed in any::<u64>(),
+            rows in 0usize..40,
+            cols in 0usize..40,
+            sparsity in 1usize..8,
+        ) {
+            let (w, owned) = random_block_case(seed, rows, cols, sparsity);
+            assert_eq!(
+                ColMajorBlock::from_layer(&w, &owned),
+                reference_from_layer(&w, &owned)
+            );
+        }
 
         #[test]
         fn finalize_matches_reference(

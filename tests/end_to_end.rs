@@ -2,9 +2,16 @@
 //! the exact serial ground truth, limits must bind the way the paper
 //! describes, and reports must be internally consistent.
 
-use fsd_inference::core::{FsdError, FsdService, InferenceRequest, ServiceBuilder, Variant};
+use fsd_inference::comm::{CloudEnv, VirtualTime};
+use fsd_inference::core::{
+    ChannelOptions, ChannelProvider, ChannelRegistry, ChannelStats, FsdError, FsdService,
+    FsiChannel, InferenceRequest, RecvTracker, ServiceBuilder, Tag, Variant,
+};
+use fsd_inference::faas::{FaasError, WorkerCtx};
 use fsd_inference::model::{generate_dnn, generate_inputs, DnnSpec, InputSpec};
 use fsd_inference::partition::PartitionScheme;
+use fsd_inference::sparse::SparseRows;
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 mod common;
@@ -388,6 +395,118 @@ fn report_latency_covers_all_workers() {
     assert!(report.work_done > 0);
     // Latency is anchored at the request's explicit arrival time.
     assert_eq!(report.arrival, fsd_inference::comm::VirtualTime::ZERO);
+}
+
+/// Wraps a built-in channel and records, per sending rank, the latest
+/// send fence it handed back.
+struct FenceRecorder {
+    inner: Arc<dyn FsiChannel>,
+    fences: Arc<Mutex<HashMap<u32, VirtualTime>>>,
+}
+
+impl FsiChannel for FenceRecorder {
+    fn stats(&self) -> &ChannelStats {
+        self.inner.stats()
+    }
+
+    fn teardown(&self) {
+        self.inner.teardown();
+    }
+
+    fn send_layer(
+        &self,
+        ctx: &mut WorkerCtx,
+        tag: Tag,
+        src: u32,
+        sends: &[(u32, SparseRows)],
+    ) -> Result<VirtualTime, FaasError> {
+        let fence = self.inner.send_layer(ctx, tag, src, sends)?;
+        let mut fences = self.fences.lock().unwrap_or_else(|p| p.into_inner());
+        let last = fences.entry(src).or_insert(fence);
+        *last = (*last).max(fence);
+        Ok(fence)
+    }
+
+    fn receive_round(
+        &self,
+        ctx: &mut WorkerCtx,
+        tag: Tag,
+        me: u32,
+        tracker: &mut RecvTracker,
+    ) -> Result<Vec<(u32, SparseRows)>, FaasError> {
+        self.inner.receive_round(ctx, tag, me, tracker)
+    }
+}
+
+/// Provides [`FenceRecorder`]s over the built-in provider of the same name.
+struct FenceRecorderProvider {
+    inner: Arc<dyn ChannelProvider>,
+    fences: Arc<Mutex<HashMap<u32, VirtualTime>>>,
+}
+
+impl ChannelProvider for FenceRecorderProvider {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn provision(
+        &self,
+        env: &Arc<CloudEnv>,
+        n_workers: u32,
+        opts: ChannelOptions,
+        flow: u64,
+    ) -> Arc<dyn FsiChannel> {
+        Arc::new(FenceRecorder {
+            inner: self.inner.provision(env, n_workers, opts, flow),
+            fences: self.fences.clone(),
+        })
+    }
+}
+
+/// Sends overlap the local product, but no worker may finish before the
+/// lanes of its last send have: every rank joins its fence before it
+/// receives or returns.
+#[test]
+fn no_worker_finishes_before_its_last_send_fence() {
+    let _guard = engine_guard();
+    let variant = common::test_variant();
+    let spec = small_spec(16);
+    let dnn = Arc::new(generate_dnn(&spec));
+    let inputs = generate_inputs(spec.neurons, &InputSpec::scaled(24, 16));
+    let fences = Arc::new(Mutex::new(HashMap::new()));
+    let name = variant.channel_name().expect("channel variant");
+    let service = ServiceBuilder::new(dnn)
+        .deterministic(16)
+        .register_channel(Arc::new(FenceRecorderProvider {
+            inner: ChannelRegistry::with_builtins()
+                .get(name)
+                .expect("built-in provider")
+                .clone(),
+            fences: fences.clone(),
+        }))
+        .build();
+    let report = service
+        .submit(&InferenceRequest {
+            variant,
+            workers: 4,
+            memory_mb: 1536,
+            inputs,
+        })
+        .unwrap_or_else(|e| panic!("{variant}: {e}"));
+    let fences = fences.lock().unwrap_or_else(|p| p.into_inner());
+    assert_eq!(report.per_worker.len(), 4);
+    for w in &report.per_worker {
+        let fence = fences
+            .get(&w.rank)
+            .unwrap_or_else(|| panic!("{variant}: rank {} never sent", w.rank));
+        assert!(
+            w.finished >= *fence,
+            "{variant}: rank {} finished at {:?}, before its send fence {:?}",
+            w.rank,
+            w.finished,
+            fence
+        );
+    }
 }
 
 #[test]
